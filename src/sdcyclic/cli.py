@@ -16,12 +16,13 @@ arrays low-degree first; polynomials are {"basis": "xm1"|"std",
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .chainring import RIdealGens, is_self_dual
 from .enumerator import (
@@ -166,12 +167,13 @@ def _json_dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _open_out(out: str | None):
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _open_out(out) as fh:
+        fh.write(text + "\n")
 
 
 def _cmd_gmatrix(args) -> int:
@@ -236,40 +238,53 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _window(stream: Iterable, offset: int, limit: int | None):
-    stop = None if limit is None else offset + limit
-    return itertools.islice(stream, offset, stop)
+def _check_non_negative(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name} must be >= 0, got {value}")
+
+
+def _window(args) -> Iterator[CodeSpec]:
+    """The --offset/--limit window of the enumeration; the codes before
+    the window are skipped without being built."""
+    _check_non_negative(args, "offset", "limit")
+    stream = enumerate_codes(args.p, args.m, args.s, start=args.offset)
+    return itertools.islice(stream, args.limit)
 
 
 def _emit_codes(args, pairs) -> int:
-    """pairs: iterable of (index, code, generators-to-print)."""
+    """pairs: iterable of (index, code, generators-to-print).  Each line
+    is written as soon as its code is built; the output is opened only
+    once the first line (or the lack of one) is known."""
     field = find_irreducible(args.p, args.m)
-    lines = []
-    for index, code, gens in pairs:
-        if args.format == "json":
-            lines.append(_json_dumps(code_to_obj(code, gens)))
-        else:
-            lines.append(_code_text(field, code, gens, index))
-    _emit("\n".join(lines) if lines else "(no codes)", args.out)
+    if args.format == "json":
+        lines = (_json_dumps(code_to_obj(code, gens)) for _, code, gens in pairs)
+    else:
+        lines = (_code_text(field, code, gens, index) for index, code, gens in pairs)
+    first = next(lines, "(no codes)")
+    with _open_out(args.out) as fh:
+        fh.write(first + "\n")
+        for line in lines:
+            fh.write(line + "\n")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     if args.sample is not None:
+        _check_non_negative(args, "sample")
         if args.offset or args.limit is not None:
             raise ValueError("--sample cannot be combined with --offset/--limit")
         stream = sample_codes(args.p, args.m, args.s, args.sample, seed=args.seed)
         pairs = ((i, code, code.generators) for i, code in enumerate(stream))
         return _emit_codes(args, pairs)
-    stream = enumerate_codes(args.p, args.m, args.s)
-    indexed = _window(enumerate(stream), args.offset, args.limit)
+    indexed = enumerate(_window(args), args.offset)
     pairs = ((i, code, code.generators) for i, code in indexed)
     return _emit_codes(args, pairs)
 
 
 def _cmd_negacyclic(args) -> int:
-    stream = enumerate_codes(args.p, args.m, args.s)
-    indexed = _window(enumerate(stream), args.offset, args.limit)
+    indexed = enumerate(_window(args), args.offset)
     pairs = ((i, code, to_negacyclic(code)) for i, code in indexed)
     return _emit_codes(args, pairs)
 
@@ -288,9 +303,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    stream = enumerate_codes(args.p, args.m, args.s)
-    if not args.all:
-        stream = _window(stream, args.offset, args.limit)
+    stream = enumerate_codes(args.p, args.m, args.s) if args.all else _window(args)
     good = total = 0
     for code in stream:
         gens = to_negacyclic(code) if args.negacyclic else code.generators

@@ -18,15 +18,17 @@ resumable by plain index.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .chainring import RIdealGens, RVector
 from .fieldcore import FieldSpec, FqElem, find_irreducible, is_prime
 from .gmatrix import column_index_range
-from .reciprocal import XM1_TO_STD, XPoly, basis_convert, solution_basis
+from .reciprocal import XM1_TO_STD, XPoly, _conv_matrix, _from_array, solution_basis
 
 CASE_K0 = "k0"
 CASE_EVEN_K = "even-k"
@@ -104,28 +106,48 @@ class CodeSpec:
     generators: RIdealGens
 
 
-def _indicator_std(field: FieldSpec, n: int, position: int) -> tuple[FqElem, ...]:
+@dataclass(frozen=True)
+class _FamilyPlan:
+    """Everything ``build_code`` needs of one family that does not depend
+    on the parameters, built once per family.
+
+    cols: the (l - delta) x dim solution-basis columns over F_p, read-only.
+    conv: columns [k+1+delta, k+1+l) of the (x-1)-adic -> standard
+        conversion matrix, a read-only N x (l - delta) view.
+    u_std: the u-part (x-1)^k in standard coordinates.
+    second: the second generator (x-1)^(N-k), or None when k = 0.
+    """
+
+    cols: np.ndarray
+    conv: np.ndarray
+    u_std: tuple[FqElem, ...]
+    second: RVector | None
+
+
+def _std_image(field: FieldSpec, conv: np.ndarray, position: int) -> tuple[FqElem, ...]:
     """(x-1)^position inside F[x]/(x^n - 1), in standard coordinates."""
-    coeffs = [field.zero()] * n
-    coeffs[position] = field.one()
-    return basis_convert(field, coeffs, XM1_TO_STD)
+    return _from_array(np.outer(conv[:, position], field.one()))
 
 
-def _generators(field: FieldSpec, desc: CaseDescriptor, b: XPoly) -> RIdealGens:
+# Small, so memory stays flat over long sweeps; the enumeration stream
+# visits families one after another and needs one plan at a time.
+@lru_cache(maxsize=4)
+def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
     n = desc.p**desc.s
-    zero = field.zero()
-    k = desc.k
-
-    shifted = [zero] * n
-    for i, c in enumerate(b.coeffs):
-        shifted[k + 1 + i] = c  # (x-1)^(k+1) * b(x)
-    a_std = basis_convert(field, shifted, XM1_TO_STD)
-    u_std = _indicator_std(field, n, k)  # u-part (x-1)^k
-    g1: RVector = tuple(zip(a_std, u_std))
-    if k == 0:
-        return RIdealGens(field=field, ring_sign=1, generators=(g1,))
-    g2: RVector = tuple((c, zero) for c in _indicator_std(field, n, n - k))
-    return RIdealGens(field=field, ring_sign=1, generators=(g1, g2))
+    k, l, delta = desc.k, desc.l, desc.delta
+    if l > 0:
+        basis = solution_basis(field, l, delta)
+        cols = np.array([v.values for v in basis.vectors], dtype=np.int64)
+        cols = cols.reshape(basis.dimension, l - delta).T
+    else:
+        cols = np.zeros((0, 0), dtype=np.int64)
+    cols.setflags(write=False)
+    conv = _conv_matrix(field.p, n, XM1_TO_STD)
+    second = None
+    if k > 0:
+        zero = field.zero()
+        second = tuple((c, zero) for c in _std_image(field, conv, n - k))
+    return _FamilyPlan(cols, conv[:, k + 1 + delta : k + 1 + l], _std_image(field, conv, k), second)
 
 
 def build_code(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> CodeSpec:
@@ -137,29 +159,68 @@ def build_code(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec)
     norm = tuple(field.element(a) for a in params)
     if len(norm) != desc.free_param_count:
         raise ValueError(f"expected {desc.free_param_count} parameters, got {len(norm)}")
-    if desc.l > 0:
-        tail = solution_basis(field, desc.l, desc.delta).combine(norm)
-        b = XPoly(field, desc.l, (field.zero(),) * desc.delta + tail)
-    else:
-        b = XPoly(field, 0, ())
-    return CodeSpec(desc, norm, b, _generators(field, desc, b))
+    plan = _family_plan(desc, field)
+    p = field.p
+    tail = (plan.cols @ np.array(norm, dtype=np.int64).reshape(len(norm), field.m)) % p
+    b = XPoly(field, desc.l, (field.zero(),) * desc.delta + _from_array(tail))
+    # (x-1)^(k+1) * b(x), in standard coordinates
+    g1: RVector = tuple(zip(_from_array((plan.conv @ tail) % p), plan.u_std))
+    gens = (g1,) if plan.second is None else (g1, plan.second)
+    return CodeSpec(desc, norm, b, RIdealGens(field=field, ring_sign=1, generators=gens))
+
+
+def _param_tuples(field: FieldSpec, width: int, start: int) -> Iterator[tuple[FqElem, ...]]:
+    """Parameter tuples of one family in lexicographic order, from the
+    ``start``-th on: a radix-p^m odometer whose digits index
+    ``field.elements()`` (Knuth, TAOCP 7.2.1.1, Algorithm M)."""
+    elems = tuple(field.elements())
+    q = len(elems)
+    digits = [0] * width
+    for i in reversed(range(width)):
+        start, digits[i] = divmod(start, q)
+    combo = [elems[d] for d in digits]
+    while True:
+        yield tuple(combo)
+        i = width - 1
+        while i >= 0 and digits[i] == q - 1:
+            digits[i] = 0
+            combo[i] = elems[0]
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+        combo[i] = elems[digits[i]]
 
 
 def descriptor_codes(desc: CaseDescriptor, field: FieldSpec) -> Iterator[CodeSpec]:
     """All codes of one family, parameters in lexicographic order."""
-    for combo in itertools.product(field.elements(), repeat=desc.free_param_count):
+    for combo in _param_tuples(field, desc.free_param_count, 0):
         yield build_code(desc, combo, field)
 
 
-def enumerate_codes(p: int, m: int, s: int, field: FieldSpec | None = None) -> Iterator[CodeSpec]:
+def enumerate_codes(
+    p: int, m: int, s: int, field: FieldSpec | None = None, start: int = 0
+) -> Iterator[CodeSpec]:
     """Every self-dual cyclic code of length p^s over F_{p^m} + u F_{p^m},
-    exactly once, in deterministic order; O(1) codes held in memory."""
+    exactly once, in deterministic order; O(1) codes held in memory.
+
+    The stream begins at index ``start``; skipped codes are never built.
+    Whole families are skipped by their exact counts, so the cost of
+    reaching any index is O(#families)."""
     if field is None:
         field = find_irreducible(p, m)
     elif (field.p, field.m) != (p, m):
         raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
+    if start < 0:
+        raise ValueError(f"start index must be >= 0, got {start}")
     for desc in classify_cases(p, s):
-        yield from descriptor_codes(desc, field)
+        size = descriptor_count(desc, m)
+        if start >= size:
+            start -= size
+            continue
+        for combo in _param_tuples(field, desc.free_param_count, start):
+            yield build_code(desc, combo, field)
+        start = 0
 
 
 def descriptor_count(desc: CaseDescriptor, m: int) -> int:

@@ -52,6 +52,15 @@ class MatrixFp:
         return self.data.shape[1]
 
     @classmethod
+    def _view(cls, p: int, arr: np.ndarray) -> "MatrixFp":
+        """Wrap a read-only array of residues already in [0, p) without
+        copying it."""
+        out = cls.__new__(cls)
+        out.p = p
+        out.data = arr
+        return out
+
+    @classmethod
     def identity(cls, p: int, n: int) -> "MatrixFp":
         return cls(p, np.eye(n, dtype=np.int64))
 
@@ -128,12 +137,13 @@ def build_g_kron(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
 
 
 def truncate_g(g: MatrixFp, l: int) -> MatrixFp:
-    """Upper-left l x l block; lower-triangularity is preserved."""
+    """Upper-left l x l block, as a read-only view of ``g``;
+    lower-triangularity is preserved."""
     if g.rows != g.cols:
         raise ValueError("truncation requires a square matrix")
     if not 1 <= l <= g.rows:
         raise ValueError(f"need 1 <= l <= {g.rows}, got {l}")
-    return MatrixFp(g.p, g.data[:l, :l])
+    return MatrixFp._view(g.p, g.data[:l, :l])
 
 
 def min_level(p: int, l: int) -> int:
@@ -148,15 +158,19 @@ def min_level(p: int, l: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _g_full(p: int, lam: int, cap: int) -> MatrixFp:
+    """The full order-p^lam matrix, built once per level."""
+    if lam >= 2:
+        return build_g_kron(p, lam, cap=cap)
+    return build_g_direct(p, lam, cap=cap)
+
+
+@lru_cache(maxsize=None)
 def g_truncated(p: int, l: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
     """G_l: the l x l truncation of the minimal covering reciprocal matrix
-    (lam recomputed as the least level with l <= p^lam).  Cached."""
-    lam = min_level(p, l)
-    if lam >= 2:
-        g = build_g_kron(p, lam, cap=cap)
-    else:
-        g = build_g_direct(p, lam, cap=cap)
-    return truncate_g(g, l)
+    (lam recomputed as the least level with l <= p^lam).  Cached; every
+    truncation is a read-only view of the one full matrix of its level."""
+    return truncate_g(_g_full(p, min_level(p, l), cap), l)
 
 
 def rank_fp(mat: MatrixFp) -> int:

@@ -50,6 +50,11 @@ class XPoly:
         if len(self.coeffs) != self.l:
             raise ValueError(f"expected {self.l} coefficients, got {len(self.coeffs)}")
         m, p = self.field.m, self.field.p
+        # One pass over all entries at C speed; the loop below only runs
+        # to name the first bad coefficient.
+        flat = list(itertools.chain.from_iterable(self.coeffs))
+        if set(map(len, self.coeffs)) <= {m} and (not flat or (min(flat) >= 0 and max(flat) < p)):
+            return
         for c in self.coeffs:
             if len(c) != m or any(not 0 <= v < p for v in c):
                 raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
@@ -66,7 +71,7 @@ def _to_array(coeffs: Sequence[FqElem]) -> np.ndarray:
     return np.array(coeffs, dtype=np.int64).reshape(len(coeffs), -1)
 
 def _from_array(arr: np.ndarray) -> tuple[FqElem, ...]:
-    return tuple(tuple(row) for row in arr.tolist())
+    return tuple(map(tuple, arr.tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from sdcyclic import count_self_dual, is_self_dual
+from sdcyclic import classify_cases, cli, count_self_dual, descriptor_count, is_self_dual
 from sdcyclic.cli import code_to_obj, dispatch, obj_to_code
 
 
@@ -201,3 +202,124 @@ def test_obj_to_code_rejects_tampered_generators(capsys):
     obj["generators"][0]["a"]["coeffs"][0] = [1]
     with pytest.raises(ValueError):
         obj_to_code(obj)
+
+
+# -- windows: --offset/--limit unrank the index instead of skipping codes
+
+def _family_boundaries(p, m, s):
+    out, total = [], 0
+    for d in classify_cases(p, s):
+        total += descriptor_count(d, m)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("command", ["enumerate", "negacyclic"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p,m,s", [(3, 2, 2), (3, 1, 3)])
+def test_window_is_a_slice_of_the_full_stream(capsys, command, fmt, p, m, s):
+    pms = ("-p", str(p), "-m", str(m), "-s", str(s))
+    _, full, _ = run(capsys, command, *pms, "--format", fmt)
+    lines = full.splitlines()
+    total = count_self_dual(p, m, s)
+    assert len(lines) == total
+    bounds = _family_boundaries(p, m, s)
+    starts = {0, 1, total // 2, total - 1, total, total + 3}
+    starts |= {b + d for b in bounds for d in (-1, 0)}
+    for start in sorted(starts):
+        for limit in (1, 7):
+            status, out, _ = run(capsys, command, *pms, "--offset", str(start), "--limit", str(limit), "--format", fmt)
+            assert status == 0
+            want = lines[start : start + limit]
+            assert out == ("\n".join(want) if want else "(no codes)") + "\n"
+    status, out, _ = run(capsys, command, *pms, "--offset", str(bounds[0]), "--format", fmt)
+    assert out.splitlines() == lines[bounds[0] :]
+
+
+@pytest.mark.parametrize("negacyclic", [False, True])
+def test_verify_window_checks_exactly_the_windowed_codes(capsys, monkeypatch, negacyclic):
+    pms = ("-p", "3", "-m", "2", "-s", "2")
+    command = "negacyclic" if negacyclic else "enumerate"
+    _, full, _ = run(capsys, command, *pms, "--format", "json")
+    expected = [obj_to_code(json.loads(line))[1] for line in full.splitlines()]
+    seen = []
+
+    def record(gens, s):
+        seen.append(gens)
+        return True
+
+    monkeypatch.setattr(cli, "is_self_dual", record)
+    extra = ("--negacyclic",) if negacyclic else ()
+    total = len(expected)
+    for start in sorted({0, _family_boundaries(3, 2, 2)[0], total - 1, total}):
+        seen.clear()
+        status, out, _ = run(capsys, "verify", *pms, "--offset", str(start), "--limit", "5", *extra)
+        want = expected[start : start + 5]
+        assert status == 0 and out == f"{len(want)}/{len(want)} self-dual\n"
+        assert seen == want
+
+
+def test_huge_offset_returns_at_once(capsys):
+    start = 10**40
+    # N = 729: the index lands deep inside the first family
+    t0 = time.perf_counter()
+    status, out, _ = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "6", "--offset", str(start), "--limit", "1")
+    assert status == 0
+    digits = []
+    rest = start
+    free = classify_cases(3, 6)[0].free_param_count
+    for _ in range(free):
+        rest, d = divmod(rest, 3)
+        digits.append(str(d))
+    assert rest == 0
+    _, built, _ = run(capsys, "build", "-p", "3", "-m", "1", "-s", "6", "--k", "0", "--params", ",".join(reversed(digits)))
+    assert out == built.replace("index=0 ", f"index={start} ", 1)
+    # N = 6561: the first family is beyond the size cap, so every command
+    # refuses at once, exactly as the unwindowed stream does
+    for command in ("enumerate", "negacyclic", "verify"):
+        status, out, err = run(capsys, command, "-p", "3", "-m", "1", "-s", "8", "--offset", str(start), "--limit", "3")
+        assert status == 2 and out == "" and "cap" in err
+    assert time.perf_counter() - t0 < 20
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("enumerate", "--offset", "-1"), "--offset"),
+        (("enumerate", "--limit", "-2"), "--limit"),
+        (("enumerate", "--sample", "-1"), "--sample"),
+        (("negacyclic", "--offset", "-3"), "--offset"),
+        (("negacyclic", "--limit", "-1"), "--limit"),
+        (("verify", "--offset", "-1"), "--offset"),
+        (("verify", "--limit", "-1", "--negacyclic"), "--limit"),
+    ],
+)
+def test_negative_window_is_refused(capsys, argv, flag):
+    status, out, err = run(capsys, argv[0], "-p", "3", "-m", "1", "-s", "2", *argv[1:])
+    assert status == 2 and out == ""
+    assert f"error: {flag} must be >= 0" in err
+
+
+def test_codes_are_written_as_they_are_built(capsys, monkeypatch):
+    real = cli.enumerate_codes
+
+    def two_then_fail(*args, **kwargs):
+        stream = real(*args, **kwargs)
+        yield next(stream)
+        yield next(stream)
+        raise ValueError("stream broke")
+
+    monkeypatch.setattr(cli, "enumerate_codes", two_then_fail)
+    status, out, err = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "2")
+    assert status == 2 and "stream broke" in err
+    assert [line.split()[0] for line in out.splitlines()] == ["index=0", "index=1"]
+
+
+def test_out_file_matches_stdout(tmp_path, capsys):
+    target = tmp_path / "codes.jsonl"
+    argv = ("enumerate", "-p", "3", "-m", "2", "-s", "2", "--format", "json")
+    _, out, _ = run(capsys, *argv)
+    status, printed, _ = run(capsys, *argv, "--out", str(target))
+    assert status == 0 and printed == "" and target.read_text() == out
+    status, _, _ = run(capsys, *argv, "--offset", "101", "--out", str(target))
+    assert status == 0 and target.read_text() == "(no codes)\n"

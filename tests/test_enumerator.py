@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from sdcyclic import (
+    CodeSpec,
     RIdealGens,
+    XPoly,
     basis_convert,
     build_code,
     canonical_form,
@@ -18,7 +20,7 @@ from sdcyclic import (
     solution_basis,
     to_negacyclic,
 )
-from sdcyclic.enumerator import CASE_EVEN_K, CASE_K0, CASE_ODD_K
+from sdcyclic.enumerator import CASE_EVEN_K, CASE_K0, CASE_ODD_K, _family_plan
 from sdcyclic.reciprocal import XM1_TO_STD
 
 
@@ -165,6 +167,33 @@ def test_build_length9_zero_param_generators(f3):
         assert code.b_coeffs.l == 9 - 1 - 2 * k
 
 
+def _build_code_per_code(desc, params, field):
+    """The construction without a per-family plan: a fresh solution
+    basis and a full-length basis conversion for every code."""
+    norm = tuple(field.element(a) for a in params)
+    if desc.l > 0:
+        tail = solution_basis(field, desc.l, desc.delta).combine(norm)
+        b = XPoly(field, desc.l, (field.zero(),) * desc.delta + tail)
+    else:
+        b = XPoly(field, 0, ())
+    return CodeSpec(desc, norm, b, _ideal_from_k_and_b(field, desc.s, desc.k, b.coeffs))
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2)])
+def test_build_code_matches_per_code_construction(p, m, s):
+    field = find_irreducible(p, m)
+    for desc in classify_cases(p, s):
+        for combo in itertools.product(field.elements(), repeat=desc.free_param_count):
+            assert build_code(desc, combo, field) == _build_code_per_code(desc, combo, field)
+
+
+def test_family_plans_are_bounded():
+    for _ in enumerate_codes(3, 1, 3):
+        pass
+    info = _family_plan.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
+
+
 def test_build_rejects_wrong_param_count(f3):
     desc = classify_cases(3, 2)[0]
     with pytest.raises(ValueError):
@@ -286,6 +315,18 @@ def test_count_consistency_with_families(p, m, s):
 def test_enumeration_count_matches_formula():
     assert sum(1 for _ in enumerate_codes(3, 1, 2)) == 17
     assert sum(1 for _ in enumerate_codes(5, 1, 1)) == 7
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 2), (3, 2, 1), (5, 1, 1)])
+def test_enumerate_from_start_index_is_a_suffix(p, m, s):
+    full = list(enumerate_codes(p, m, s))
+    for start in range(len(full) + 2):
+        assert list(enumerate_codes(p, m, s, start=start)) == full[start:]
+
+
+def test_enumerate_rejects_negative_start():
+    with pytest.raises(ValueError, match="start"):
+        next(enumerate_codes(3, 1, 1, start=-1))
 
 
 def test_enumeration_is_deterministic():

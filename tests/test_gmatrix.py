@@ -139,6 +139,15 @@ def test_truncations():
         truncate_g(g9, 10)
 
 
+def test_g_truncated_shares_one_full_matrix_per_level():
+    g20, g25 = g_truncated(3, 20), g_truncated(3, 25)
+    assert np.shares_memory(g20.data, g25.data)
+    assert not g20.data.flags.writeable and not g25.data.flags.writeable
+    fresh = build_g_kron(3, 3)
+    assert g20 == truncate_g(fresh, 20)
+    assert g25 == truncate_g(fresh, 25)
+
+
 def test_min_level():
     assert min_level(3, 1) == 1
     assert min_level(3, 3) == 1
