@@ -3,16 +3,24 @@ verification engine for ideals of R[x]/(x^N -+ 1).
 
 An element a + u*b is the pair (a, b) of field-element tuples; a length-N
 vector over R is a tuple of such pairs.  The verifier knows nothing about
-how codes were produced: it expands generator orbits (all cyclic or
-negacyclic shifts of each generator and of u times it), splits a + u*b
-into the 2N-dimensional (a | b) coordinates over F_{p^m}, and row-reduces
-exactly.  Cardinality is (p^m)^dimension; a code is self-dual iff it is
-self-orthogonal and has dimension p^s, since sizes of a code and its dual
-multiply to the full space.
+how codes were produced; it works on the generators alone.
+
+For N = p^s, x^N -+ 1 = (x -+ 1)^N in characteristic p, so
+A = F_{p^m}[x]/(x^N -+ 1) is the chain ring F_{p^m}[t]/(t^N) and an ideal
+is an A-submodule of A^2 through a + u*b -> (a, b), stable under u:
+(a, b) -> (0, a).  Its cardinality is (p^m)^dimension, and the dimension
+comes from a Hermite form of at most 2 * #generators rows over A.  A code
+is self-dual iff it is self-orthogonal and has dimension p^s, since sizes
+of a code and its dual multiply to the full space.
 
 Orthogonality is checked on generator shifts only: the inner product is
 bilinear and invariant under the (nega)cyclic shift applied to both
 arguments, and u-multiples only ever shrink products because u^2 = 0.
+All N shifts of one generator pair come from one polynomial product.
+
+The dense expansion (all shifts of each generator and of u times it, as
+2N-dimensional (a | b) rows over F_{p^m}, row-reduced exactly) remains
+for canonical_form and as the test oracle of the structured verifier.
 """
 
 from __future__ import annotations
@@ -117,38 +125,31 @@ def _mul_arrays(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (conv % p) @ _reduction_rows(field) % p
 
 
-def _gen_arrays(field: FieldSpec, vec: RVector) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([v[0] for v in vec], dtype=np.int64)
-    b = np.array([v[1] for v in vec], dtype=np.int64)
-    return a, b
-
-
-def _shift(x: np.ndarray, i: int, sign: int, p: int) -> np.ndarray:
-    """Multiply by x^i: rotate i steps down, entries that wrapped past
-    x^N pick up the ring sign."""
-    if i == 0:
-        return x
-    out = np.roll(x, i, axis=0)
-    if sign == -1:
-        out[:i] = (-out[:i]) % p
-    return out
+def _gen_arrays(vec: RVector) -> tuple[np.ndarray, np.ndarray]:
+    ab = np.array(vec, dtype=np.int64)
+    return ab[:, 0], ab[:, 1]
 
 
 def _orbit_rows(gens: RIdealGens) -> np.ndarray:
     """All shifts of every generator and of u times it, split into the
-    (a | b) coordinates: shape (rows, 2N, m)."""
-    field = gens.field
+    (a | b) coordinates: shape (rows, 2N, m).  Row 2i of a generator's
+    block is x^i g, row 2i+1 is u x^i g; entries that wrapped past x^N
+    pick up the ring sign."""
     n, sign, p = gens.n, gens.ring_sign, gens.field.p
-    rows = []
+    pos = np.arange(n)
+    source = (pos[None, :] - pos[:, None]) % n  # [shift i, position j] -> j - i
+    wrapped = pos[None, :] < pos[:, None]
+    blocks = []
     for g in gens.generators:
-        a, b = _gen_arrays(field, g)
-        zero = np.zeros_like(a)
-        for i in range(n):
-            ai = _shift(a, i, sign, p)
-            bi = _shift(b, i, sign, p)
-            rows.append(np.concatenate([ai, bi], axis=0))
-            rows.append(np.concatenate([zero, ai], axis=0))  # u * x^i * g
-    return np.stack(rows)
+        a, b = _gen_arrays(g)
+        sa, sb = a[source], b[source]
+        if sign == -1:
+            sa[wrapped] = (-sa[wrapped]) % p
+            sb[wrapped] = (-sb[wrapped]) % p
+        top = np.concatenate([sa, sb], axis=1)
+        bottom = np.concatenate([np.zeros_like(sa), sa], axis=1)
+        blocks.append(np.stack([top, bottom], axis=1).reshape(2 * n, 2 * n, -1))
+    return np.concatenate(blocks)
 
 
 def _rref(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
@@ -179,45 +180,197 @@ def _rref(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     return rows[:r]
 
 
+# ---------------------------------------------------------------------------
+# Structured verifier.  Polynomials over F_{p^m} are (length, m) arrays,
+# low degree first.  A product of two of them is one integer convolution:
+# each coefficient's y-degree is spread with stride 2m-1 (Kronecker
+# substitution), so partial products of different degrees never overlap,
+# and the blocks are folded back with _reduction_rows.  No entry of any
+# intermediate exceeds n*m*(p-1)^2, which _check_int64 bounds.
+
+
+def _check_int64(gens: RIdealGens) -> None:
+    field = gens.field
+    bound = gens.n * field.m * (field.p - 1) ** 2
+    if bound >= 2**63:
+        raise ValueError(
+            f"verifier sums reach n*m*(p-1)^2 = {bound}, beyond int64 (n={gens.n}, p={field.p}, m={field.m})"
+        )
+
+
+def _spread(x: np.ndarray, stride: int) -> np.ndarray:
+    out = np.zeros((x.shape[0], stride), dtype=np.int64)
+    out[:, : x.shape[1]] = x
+    return out
+
+
+def _poly_mul(field: FieldSpec, x: np.ndarray, y: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` coefficients of x*y over F_{p^m}."""
+    p, m = field.p, field.m
+    stride = 2 * m - 1
+    x, y = x[:length], y[:length]
+    if m > 1:
+        x, y = _spread(x, stride), _spread(y, stride)
+    z = np.convolve(x.ravel(), y.ravel())
+    need = length * stride
+    if z.size < need:
+        z = np.concatenate([z, np.zeros(need - z.size, dtype=np.int64)])
+    blocks = z[:need].reshape(length, stride) % p
+    return blocks if m == 1 else blocks @ _reduction_rows(field) % p
+
+
+def _correlation(field: FieldSpec, sign: int, f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """c[i] = <x^i f, h> for every shift i at once: the coefficients of
+    h(x) f(1/x) folded mod x^N - sign.  The product's coefficient N-1+d
+    is sum_j f_j h_(j+d); shift i collects d = i and, wrapped, d = i - N."""
+    n = f.shape[0]
+    z = _poly_mul(field, h, f[::-1], 2 * n - 1)
+    c = z[n - 1 :].copy()
+    c[1:] += sign * z[: n - 1]
+    return c % field.p
+
+
+def _orthogonality_failure(gens: RIdealGens) -> tuple[int, int, int, str] | None:
+    """The first (shift i, generators j <= k, "main" | "u") at which
+    <x^i g_j, g_k> is nonzero in that part, or None.  Pairs k < j need no
+    check: <x^i g_k, g_j> = sign * <x^(N-i) g_j, g_k>."""
+    _check_int64(gens)
+    field, sign, p = gens.field, gens.ring_sign, gens.field.p
+    arrs = [_gen_arrays(g) for g in gens.generators]
+    for j, (aj, bj) in enumerate(arrs):
+        for k in range(j, len(arrs)):
+            ak, bk = arrs[k]
+            main = _correlation(field, sign, aj, ak).any(axis=1)
+            upart = (_correlation(field, sign, aj, bk) + _correlation(field, sign, bj, ak)) % p
+            bad = main | upart.any(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                return i, j, k, "main" if main[i] else "u"
+    return None
+
+
+@lru_cache(maxsize=4)
+def _to_t_adic(p: int, n: int, sign: int) -> np.ndarray:
+    """(n, n) change of basis from x-powers to powers of t = x - sign:
+    entry [k, j] is C(j, k) sign^(j-k) mod p, the t^k coefficient of
+    x^j = (t + sign)^j.  Row k+1 of C(j, k) is the exclusive cumulative
+    sum of row k (hockey stick)."""
+    binom = np.zeros((n, n), dtype=np.int64)
+    row = np.ones(n, dtype=np.int64)
+    for k in range(n):
+        binom[k] = row
+        row = np.concatenate(([0], np.cumsum(row[:-1]) % p))
+    if sign == -1:
+        pos = np.arange(n)
+        odd = (pos[None, :] - pos[:, None]) % 2 == 1
+        binom[odd] = (-binom[odd]) % p
+    binom.setflags(write=False)
+    return binom
+
+
+def _valuation(x: np.ndarray) -> int:
+    """t-adic valuation of a (length, m) array; its length if zero."""
+    hits = np.flatnonzero(x.any(axis=1))
+    return int(hits[0]) if hits.size else x.shape[0]
+
+
+def _unit_inverse(field: FieldSpec, w: np.ndarray) -> np.ndarray:
+    """Inverse of w mod t^len(w), w[0] nonzero, by Newton iteration
+    y <- y + y(1 - wy), which doubles the precision of y each step."""
+    p, size = field.p, w.shape[0]
+    y = np.array([field.inv(tuple(int(v) for v in w[0]))], dtype=np.int64)
+    prec = 1
+    while prec < size:
+        prec = min(2 * prec, size)
+        err = (-_poly_mul(field, w, y, prec)) % p
+        err[0, 0] = (err[0, 0] + 1) % p
+        grown = np.zeros((prec, field.m), dtype=np.int64)
+        grown[: y.shape[0]] = y
+        y = (grown + _poly_mul(field, y, err, prec)) % p
+    return y
+
+
+def _is_power_of(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def span_dimension(gens: RIdealGens) -> int:
     """F_{p^m}-dimension d of the spanned ideal; the code has (p^m)^d
-    codewords."""
-    return int(_rref(gens.field, _orbit_rows(gens)).shape[0])
+    codewords.
+
+    For N = p^s, x^N - sign = (x - sign)^N, so F_q[x]/(x^N - sign) is
+    A = F_q[t]/(t^N) with t = x - sign, and the code is the A-submodule
+    of A^2 spanned by (a, b) and u(a, b) = (0, a) for each generator
+    a + ub.  Its Hermite form gives d: the first coordinates span
+    t^v1 A, the submodule's part with first coordinate 0 is (0, t^v2 A),
+    and d = (N - v1) + (N - v2)."""
+    field, n, p = gens.field, gens.n, gens.field.p
+    if not _is_power_of(n, p):
+        raise ValueError(f"length {n} is not a power of p = {p}")
+    _check_int64(gens)
+    m = field.m
+    # one (a | b) column block per generator, converted in one product
+    std = np.concatenate([np.array(g, dtype=np.int64).reshape(n, 2 * m) for g in gens.generators], axis=1)
+    tadic = _to_t_adic(p, n, gens.ring_sign) @ std % p
+    rows = []
+    for c in range(0, tadic.shape[1], 2 * m):
+        a, b = tadic[:, c : c + m], tadic[:, c + m : c + 2 * m]
+        rows += [(a, b), (np.zeros_like(a), a)]
+    firsts = [_valuation(f) for f, _ in rows]
+    v1 = min(firsts)
+    if v1 == n:
+        kernel = [g for _, g in rows]
+    else:
+        # pivot (f, g) with f = t^v1 w: clear every other first coordinate
+        # with (f_i / t^v1) w^-1 times the pivot; t^(N-v1) (f, g) = (0, t^(N-v1) g)
+        piv = firsts.index(v1)
+        f, g = rows[piv]
+        rest = n - v1
+        inv = _unit_inverse(field, f[v1:])
+        shifted = np.zeros_like(g)
+        shifted[rest:] = g[:v1]
+        kernel = [shifted]
+        for i, (fi, gi) in enumerate(rows):
+            if i != piv:
+                c = _poly_mul(field, fi[v1:], inv, rest)
+                kernel.append((gi - _poly_mul(field, c, g, n)) % p)
+    v2 = min(_valuation(x) for x in kernel)
+    return (n - v1) + (n - v2)
 
 
 def is_self_orthogonal(gens: RIdealGens) -> bool:
     """True iff [x^i g_a, g_b] = 0 for all generator pairs and shifts,
     which by bilinearity covers the whole span."""
-    field = gens.field
-    n, sign, p = gens.n, gens.ring_sign, gens.field.p
-    arrs = [_gen_arrays(field, g) for g in gens.generators]
-    shifted = [
-        [(_shift(a, i, sign, p), _shift(b, i, sign, p)) for i in range(n)]
-        for a, b in arrs
-    ]
-    for shifts_a in shifted:
-        for ab, bb in arrs:
-            for aa, ba in shifts_a:
-                main = _mul_arrays(field, aa, ab).sum(axis=0) % p
-                if main.any():
-                    return False
-                cross = (
-                    _mul_arrays(field, aa, bb).sum(axis=0)
-                    + _mul_arrays(field, ba, ab).sum(axis=0)
-                ) % p
-                if cross.any():
-                    return False
-    return True
+    return _orthogonality_failure(gens) is None
+
+
+def _expected_length(gens: RIdealGens, s: int) -> int:
+    n = gens.field.p**s
+    if gens.n != n:
+        raise ValueError(f"generators have length {gens.n}, expected p^s = {n}")
+    return n
 
 
 def is_self_dual(gens: RIdealGens, s: int) -> bool:
     """Self-orthogonal and exactly half-sized: dimension p^s out of the
     ambient 2 p^s.  Over this chain ring |C| * |C-dual| = |R|^N, so the
     two conditions together give C = C-dual."""
-    n = gens.field.p**s
-    if gens.n != n:
-        raise ValueError(f"generators have length {gens.n}, expected p^s = {n}")
+    n = _expected_length(gens, s)
     return is_self_orthogonal(gens) and span_dimension(gens) == n
+
+
+def _self_dual_failure(gens: RIdealGens, s: int) -> str | None:
+    """Why the ideal is not self-dual (the first nonzero inner product of
+    generator shifts, else the wrong dimension), or None if it is."""
+    n = _expected_length(gens, s)
+    hit = _orthogonality_failure(gens)
+    if hit is not None:
+        i, j, k, part = hit
+        return f"not self-orthogonal: shift {i}, generators ({j}, {k}), {part} part"
+    d = span_dimension(gens)
+    return None if d == n else f"dimension {d} != {n}"
 
 
 def canonical_form(gens: RIdealGens) -> tuple[tuple[FqElem, ...], ...]:

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Iterator, Sequence
 
-from .chainring import RIdealGens, is_self_dual
+from .chainring import RIdealGens, _self_dual_failure, is_self_dual
 from .enumerator import (
     CodeSpec,
     build_code,
@@ -82,11 +82,15 @@ def _gen_str(field: FieldSpec, gen) -> str:
     return piece if a_str == "0" else f"{a_str}+{piece}"
 
 
-def _code_text(field: FieldSpec, code: CodeSpec, gens: RIdealGens, index: int) -> str:
+def _code_label(code: CodeSpec, index: int) -> str:
     d = code.descriptor
     params = ",".join(_fq_str(a) for a in code.params)
+    return f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{params}]"
+
+
+def _code_text(field: FieldSpec, code: CodeSpec, gens: RIdealGens, index: int) -> str:
     body = "; ".join(_gen_str(field, g) for g in gens.generators)
-    return f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{params}] <{body}>"
+    return f"{_code_label(code, index)} <{body}>"
 
 
 def _matrix_text(mat: MatrixFp) -> str:
@@ -303,12 +307,20 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    stream = enumerate_codes(args.p, args.m, args.s) if args.all else _window(args)
+    """Prints good/total; each failing code goes to stderr with the
+    reason it failed."""
+    if args.all and (args.offset or args.limit is not None):
+        raise ValueError("--all cannot be combined with --offset/--limit")
+    ring = "negacyclic" if args.negacyclic else "cyclic"
     good = total = 0
-    for code in stream:
+    for index, code in enumerate(_window(args), args.offset):
         gens = to_negacyclic(code) if args.negacyclic else code.generators
         total += 1
-        good += bool(is_self_dual(gens, args.s))
+        if is_self_dual(gens, args.s):
+            good += 1
+            continue
+        reason = _self_dual_failure(gens, args.s)
+        print(f"{_code_label(code, index)} ring={ring}: {reason}", file=sys.stderr)
     _emit(f"{good}/{total} self-dual", args.out)
     return 0 if good == total else 1
 

@@ -1,11 +1,20 @@
+import ast
 import itertools
+import math
+import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdcyclic import (
+    FieldSpec,
     RIdealGens,
     basis_convert,
     canonical_form,
+    chainring,
+    enumerate_codes,
+    find_irreducible,
     inner_product,
     is_self_dual,
     is_self_orthogonal,
@@ -13,8 +22,11 @@ from sdcyclic import (
     r_mul,
     r_neg,
     r_scale,
+    sample_codes,
     span_dimension,
+    to_negacyclic,
 )
+from sdcyclic.chainring import _orbit_rows, _reduction_rows, _rref
 from sdcyclic.reciprocal import XM1_TO_STD
 
 
@@ -256,3 +268,170 @@ def test_rideal_validation(f3):
             ring_sign=1,
             generators=(_const_gen(f3, 3, 1), _const_gen(f3, 4, 1)),
         )
+
+
+# -- the structured verifier against the dense orbit/rref oracle
+
+
+def _dense_dimension(gens):
+    return int(_rref(gens.field, _orbit_rows(gens)).shape[0])
+
+
+def _field_dot(field, x, y):
+    """[v, w] -> sum_n x[v, n] * y[w, n] over F_{p^m}, for (rows, n, m)
+    arrays: one integer tensor product, then the y-degrees are folded."""
+    p, m = field.p, field.m
+    prod = np.einsum("vni,wnj->vwij", x, y)
+    conv = np.zeros(prod.shape[:2] + (2 * m - 1,), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            conv[..., i + j] += prod[..., i, j]
+    return (conv % p) @ _reduction_rows(field) % p
+
+
+def _dense_products(gens, against):
+    """Main and u parts of <row, other> for every orbit row and every row
+    in ``against``, straight from the expanded (a | b) coordinates."""
+    n, p = gens.n, gens.field.p
+    rows = _orbit_rows(gens)
+    ra, rb = rows[:, :n], rows[:, n:]
+    oa, ob = against[:, :n], against[:, n:]
+    main = _field_dot(gens.field, ra, oa)
+    upart = (_field_dot(gens.field, ra, ob) + _field_dot(gens.field, rb, oa)) % p
+    return main, upart
+
+
+def _dense_self_orthogonal(gens):
+    """Every pair of spanning rows is orthogonal: a Gram matrix over the
+    whole expansion, with no appeal to shift invariance."""
+    main, upart = _dense_products(gens, _orbit_rows(gens))
+    return not main.any() and not upart.any()
+
+
+def _assert_matches_oracle(gens):
+    assert span_dimension(gens) == _dense_dimension(gens)
+    orthogonal = _dense_self_orthogonal(gens)
+    assert is_self_orthogonal(gens) == orthogonal
+    hit = chainring._orthogonality_failure(gens)
+    if orthogonal:
+        assert hit is None
+        return
+    # the reported entry is the first nonzero one, pairs j <= k in order,
+    # shifts ascending, main part before u part
+    n = gens.n
+    main, upart = _dense_products(gens, _orbit_rows(gens)[:: 2 * n])  # each g_k itself
+    first = next(
+        (i, j, k, "main" if main[2 * n * j + 2 * i, k].any() else "u")
+        for j in range(len(gens.generators))
+        for k in range(j, len(gens.generators))
+        for i in range(n)
+        if main[2 * n * j + 2 * i, k].any() or upart[2 * n * j + 2 * i, k].any()
+    )
+    assert hit == first
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 2, 2), (3, 3, 1)])
+def test_structured_verifier_matches_oracle_on_every_code(p, m, s):
+    for code in enumerate_codes(p, m, s):
+        for gens in (code.generators, to_negacyclic(code)):
+            assert is_self_dual(gens, s)
+            _assert_matches_oracle(gens)
+
+
+@pytest.mark.parametrize("p,m,s,seed", [(3, 1, 3, 11), (5, 1, 2, 12)])
+def test_structured_verifier_matches_oracle_on_sampled_codes(p, m, s, seed):
+    for i, code in enumerate(sample_codes(p, m, s, 100, seed=seed)):
+        gens = to_negacyclic(code) if i % 2 else code.generators
+        assert is_self_dual(gens, s)
+        _assert_matches_oracle(gens)
+
+
+def _times_t(v, sign, p):
+    """(x - sign) v in F_q[x]/(x^n - sign), on an (n, m) array."""
+    shifted = np.roll(v, 1, axis=0)
+    shifted[0] = sign * shifted[0]
+    return (shifted - sign * v) % p
+
+
+def _random_part(rng, field, n, sign):
+    """t^e r for t = x - sign, with r sparse (one or two terms) or dense
+    and e uniform in [0, n], so every valuation, zero included, occurs."""
+    p, m = field.p, field.m
+    r = np.zeros((n, m), dtype=np.int64)
+    if rng.random() < 0.5:
+        for j in rng.sample(range(n), min(n, rng.randint(1, 2))):
+            r[j] = [rng.randrange(p) for _ in range(m)]
+    else:
+        r[:] = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    for _ in range(rng.randint(0, n)):
+        r = _times_t(r, sign, p)
+    return r
+
+
+def _random_ideal(rng, p, m, s, sign):
+    field = find_irreducible(p, m)
+    n = p**s
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.1:
+            a = b = np.zeros((n, m), dtype=np.int64)
+        else:
+            a, b = _random_part(rng, field, n, sign), _random_part(rng, field, n, sign)
+        gens.append(tuple((tuple(map(int, x)), tuple(map(int, y))) for x, y in zip(a, b)))
+    return RIdealGens(field=field, ring_sign=sign, generators=tuple(gens))
+
+
+def test_structured_verifier_matches_oracle_on_random_ideals():
+    rng = random.Random(2019)
+    shapes = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1)]
+    dims = set()
+    for trial in range(500):
+        p, m, s = shapes[trial % len(shapes)]
+        gens = _random_ideal(rng, p, m, s, rng.choice((1, -1)))
+        _assert_matches_oracle(gens)
+        dims.add((gens.n, span_dimension(gens)))
+    # the sample reaches zero, full and in-between dimensions at N = 9
+    assert {(9, 0), (9, 18)} <= dims and len({d for n, d in dims if n == 9}) > 10
+
+
+def test_t_adic_conversion_is_pascal_with_signs():
+    for sign in (1, -1):
+        conv = chainring._to_t_adic(5, 25, sign)
+        for j in range(25):
+            for k in range(25):
+                # x^j = (t + sign)^j
+                want = math.comb(j, k) * sign ** (j - k) % 5 if k <= j else 0
+                assert conv[k, j] == want
+
+
+def test_chainring_is_independent_of_the_construction():
+    tree = ast.parse(Path(chainring.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    banned = {"reciprocal", "gmatrix", "binomial", "enumerator"}
+    assert not {name.rsplit(".", 1)[-1] for name in imported if name} & banned
+
+
+def test_span_dimension_refuses_lengths_that_are_not_powers_of_p(f3):
+    gens = RIdealGens(field=f3, ring_sign=1, generators=(_const_gen(f3, 4, 0, 1),))
+    with pytest.raises(ValueError, match="not a power of p"):
+        span_dimension(gens)
+    # orthogonality is defined at every length
+    assert is_self_orthogonal(gens)
+
+
+def test_verifier_refuses_int64_overflow():
+    p = 4294967311  # a prime above 2^32: (p-1)^2 alone exceeds 2^63
+    field = FieldSpec(p, 1, [0, 1])
+    gens = RIdealGens(field=field, ring_sign=1, generators=(_const_gen(field, 1, 1),))
+    for check in (span_dimension, is_self_orthogonal):
+        with pytest.raises(ValueError, match="int64"):
+            check(gens)
+    # just below the bound the arithmetic is still exact
+    below = FieldSpec(3037000493, 1, [0, 1])
+    gens = RIdealGens(field=below, ring_sign=1, generators=(_const_gen(below, 1, 1),))
+    assert span_dimension(gens) == 2 and not is_self_orthogonal(gens)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sdcyclic import classify_cases, cli, count_self_dual, descriptor_count, is_self_dual
+from sdcyclic import RIdealGens, classify_cases, cli, count_self_dual, descriptor_count, is_self_dual
 from sdcyclic.cli import code_to_obj, dispatch, obj_to_code
 
 
@@ -323,3 +323,47 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert status == 0 and printed == "" and target.read_text() == out
     status, _, _ = run(capsys, *argv, "--offset", "101", "--out", str(target))
     assert status == 0 and target.read_text() == "(no codes)\n"
+
+
+# -- verify names each failing code on stderr
+
+def _relabel_as_negacyclic(code):
+    """Wrong on purpose: keeps the cyclic coefficients (no x -> -x) and
+    only flips the ring sign, so most codes stop being self-dual."""
+    return RIdealGens(field=code.generators.field, ring_sign=-1, generators=code.generators.generators)
+
+
+def test_verify_names_failing_codes(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "to_negacyclic", _relabel_as_negacyclic)
+    status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "1", "--all", "--negacyclic")
+    assert status == 1 and out == "1/2 self-dual\n"
+    assert err == (
+        "index=1 case=odd-k nu=0 k=1 params=[] ring=negacyclic: "
+        "not self-orthogonal: shift 2, generators (0, 1), u part\n"
+    )
+    # windowed: stream indices, one line per failing code
+    status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "2", "--offset", "9", "--limit", "2", "--negacyclic")
+    assert status == 1 and out == "0/2 self-dual\n"
+    assert err.splitlines() == [
+        "index=9 case=even-k nu=1 k=2 params=[0] ring=negacyclic: not self-orthogonal: shift 7, generators (0, 1), u part",
+        "index=10 case=even-k nu=1 k=2 params=[1] ring=negacyclic: not self-orthogonal: shift 4, generators (0, 0), main part",
+    ]
+
+
+def test_verify_names_wrong_dimension(capsys, monkeypatch):
+    def first_generator_only(code):
+        gens = code.generators
+        return RIdealGens(field=gens.field, ring_sign=1, generators=gens.generators[:1])
+
+    monkeypatch.setattr(cli, "to_negacyclic", first_generator_only)
+    status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "1", "--all", "--negacyclic")
+    # <u(x-1)> alone is self-orthogonal but only 2-dimensional
+    assert status == 1 and out == "1/2 self-dual\n"
+    assert err == "index=1 case=odd-k nu=0 k=1 params=[] ring=negacyclic: dimension 2 != 3\n"
+
+
+@pytest.mark.parametrize("window", [("--offset", "3"), ("--limit", "0"), ("--offset", "1", "--limit", "2")])
+def test_verify_all_refuses_a_window(capsys, window):
+    status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "2", "--all", *window)
+    assert status == 2 and out == ""
+    assert err == "error: --all cannot be combined with --offset/--limit\n"
