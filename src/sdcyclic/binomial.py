@@ -2,30 +2,46 @@
 entries of the triangular reciprocal matrices.
 
 Indices reach p^lam (hundreds to thousands), so coefficients are computed
-by base-p digit decomposition instead of factorials; the per-digit values
-come from a cached p x p Pascal table.
+by base-p digit decomposition instead of factorials (Lucas's theorem):
+C(n, k) = prod_i C(n_i, k_i) mod p over the base-p digits.  The per-digit
+values come from one cached p x p Pascal table, which both the scalar
+routines here and the whole-array kernel ``_binom_grid`` read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .fieldcore import is_prime
 
 
 @lru_cache(maxsize=None)
-def _pascal_table(p: int) -> tuple[tuple[int, ...], ...]:
-    """C(n, k) mod p for all 0 <= k <= n < p."""
+def _pascal_table(p: int) -> np.ndarray:
+    """C(n, k) mod p for all 0 <= n, k < p, zero above the diagonal;
+    read-only int64, filled one row at a time."""
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    rows = [[1] + [0] * (p - 1)]
+    table = np.zeros((p, p), dtype=np.int64)
+    table[:, 0] = 1
     for n in range(1, p):
-        prev = rows[-1]
-        row = [1] * (n + 1) + [0] * (p - 1 - n)
-        for k in range(1, n):
-            row[k] = (prev[k - 1] + prev[k]) % p
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+        table[n, 1 : n + 1] = (table[n - 1, :n] + table[n - 1, 1 : n + 1]) % p
+    table.setflags(write=False)
+    return table
+
+
+def _binom_grid(p: int, n: np.ndarray, k: np.ndarray, digits: int) -> np.ndarray:
+    """C(n, k) mod p elementwise over broadcast integer arrays with
+    0 <= n, k < p^digits: one gather from the Pascal table per base-p
+    digit.  Entries with k > n come out 0, because some digit of k then
+    exceeds the digit of n and the table is zero above its diagonal."""
+    table = _pascal_table(p)
+    out = table[n % p, k % p]
+    for _ in range(digits - 1):
+        n, k = n // p, k // p
+        out = out * table[n % p, k % p] % p
+    return out
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
@@ -42,13 +58,14 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         kd, k = k % p, k // p
         if kd > nd:
             return 0
-        out = (out * table[nd][kd]) % p
+        out = (out * table.item(nd, kd)) % p
     return out
 
 
 def g_entry(p: int, lam: int, i: int, j: int) -> int:
     """Entry (i, j), 1-indexed, of the p^lam x p^lam reciprocal matrix:
-    (-1)^(j-1) * C(p^lam - j, i - j) mod p, defined for 1 <= j <= i."""
+    (-1)^(j-1) * C(p^lam - j, i - j) mod p, defined for 1 <= j <= i.
+    The scalar reference for ``gmatrix.build_g_direct``."""
     n = p**lam
     if not 1 <= j <= i <= n:
         raise ValueError(f"need 1 <= j <= i <= {n}, got i={i}, j={j}")

@@ -376,6 +376,8 @@ def _self_dual_failure(gens: RIdealGens, s: int) -> str | None:
 def canonical_form(gens: RIdealGens) -> tuple[tuple[FqElem, ...], ...]:
     """The reduced row-echelon basis of the 2N-dimensional expansion,
     as nested tuples.  Equal ideals give identical forms, so this is the
-    distinctness key for code sets."""
+    distinctness key for code sets.  Refuses, like the verifier, sizes
+    whose products would overflow int64."""
+    _check_int64(gens)
     red = _rref(gens.field, _orbit_rows(gens))
     return tuple(tuple(tuple(int(v) for v in entry) for entry in row) for row in red.tolist())

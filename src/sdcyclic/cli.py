@@ -21,12 +21,16 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .chainring import RIdealGens, _self_dual_failure, is_self_dual
 from .enumerator import (
     CodeSpec,
+    _count_digits,
     build_code,
     classify_cases,
     count_self_dual,
@@ -94,8 +98,18 @@ def _code_text(field: FieldSpec, code: CodeSpec, gens: RIdealGens, index: int) -
 
 
 def _matrix_text(mat: MatrixFp) -> str:
+    """Rows of right-aligned entries, all of the width of p - 1, built as
+    one (rows, cols, width + 1) byte grid: each cell is its digits after
+    leading spaces, then a separator byte (space, or newline at a row's
+    end).  The grid stays in the narrowest dtype that holds p - 1."""
     width = max(1, len(str(mat.p - 1)))
-    return "\n".join(" ".join(f"{int(v):>{width}}" for v in row) for row in mat.data)
+    vals = mat.data.astype(np.min_scalar_type(mat.p - 1))
+    grid = np.full(vals.shape + (width + 1,), ord(" "), dtype=np.uint8)
+    for w in range(width):
+        digit = vals // 10**w % 10 + ord("0")
+        grid[..., width - 1 - w] = digit if w == 0 else np.where(vals >= 10**w, digit, ord(" "))
+    grid[:, -1, width] = ord("\n")
+    return grid.tobytes()[:-1].decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +238,42 @@ def _cmd_gmatrix(args) -> int:
     return 0
 
 
+# text and json print totals estimated at up to this many decimal digits:
+# enough for (3, 1, 12) (63,391 digits); CPython's int-to-str conversion
+# is quadratic, and takes about 0.2 s at this length.
+COUNT_DIGITS_CAP = 100_000
+# csv cells stay within Python's default int-to-str limit.
+CSV_CELL_DIGITS = 4300
+
+
+@contextlib.contextmanager
+def _int_str_unlimited():
+    """Lift the int-to-str digit limit (Python >= 3.10.7) for the
+    conversions inside the block, and restore it after."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _cmd_count(args) -> int:
+    digits = _count_digits(args.p, args.m, args.s)
+    if digits > COUNT_DIGITS_CAP:
+        size = f"about {digits:.4g}" if math.isfinite(digits) else "more than 1e+300"
+        raise ValueError(f"the total has {size} decimal digits, beyond the {COUNT_DIGITS_CAP}-digit cap")
     total = count_self_dual(args.p, args.m, args.s)
-    if args.format == "json":
-        _emit(_json_dumps({"p": args.p, "m": args.m, "s": args.s, "count": total}), args.out)
-    elif args.format == "csv":
+    if args.format == "csv":
+        if total >= 10**CSV_CELL_DIGITS:
+            raise ValueError(
+                f"the total has more than {CSV_CELL_DIGITS} digits, too long for a csv cell; "
+                "use --format text or --format json to print it"
+            )
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["p", "m", "s", "case", "count"])
@@ -237,8 +282,13 @@ def _cmd_count(args) -> int:
             writer.writerow([args.p, args.m, args.s, label, descriptor_count(d, args.m)])
         writer.writerow([args.p, args.m, args.s, "total", total])
         _emit(buf.getvalue().rstrip("\n"), args.out)
-    else:
-        _emit(str(total), args.out)
+        return 0
+    with _int_str_unlimited():
+        if args.format == "json":
+            text = _json_dumps({"p": args.p, "m": args.m, "s": args.s, "count": total})
+        else:
+            text = str(total)
+    _emit(text, args.out)
     return 0
 
 
@@ -355,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("gmatrix", help="print reciprocal matrices or solution-basis columns")
     g.add_argument("-p", type=int, required=True, help="odd prime characteristic")
-    g.add_argument("--lambda", dest="lam", type=int, default=None, help="print the full order-p^lambda matrix")
-    g.add_argument("--l", dest="l", type=int, default=None, help="print the l x l truncation G_l")
+    shape = g.add_mutually_exclusive_group()
+    shape.add_argument("--lambda", dest="lam", type=int, default=None, help="print the full order-p^lambda matrix")
+    shape.add_argument("--l", dest="l", type=int, default=None, help="print the l x l truncation G_l")
     g.add_argument("--delta", type=int, default=None, help="with --l: print the truncated solution-basis columns")
     shift = g.add_mutually_exclusive_group()
     shift.add_argument("--plus-i", action="store_true", help="print G + I instead of G")

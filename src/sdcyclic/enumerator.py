@@ -18,6 +18,7 @@ resumable by plain index.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -171,25 +172,35 @@ def build_code(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec)
 
 def _param_tuples(field: FieldSpec, width: int, start: int) -> Iterator[tuple[FqElem, ...]]:
     """Parameter tuples of one family in lexicographic order, from the
-    ``start``-th on: a radix-p^m odometer whose digits index
-    ``field.elements()`` (Knuth, TAOCP 7.2.1.1, Algorithm M)."""
-    elems = tuple(field.elements())
-    q = len(elems)
+    ``start``-th on: a radix-p^m odometer (Knuth, TAOCP 7.2.1.1,
+    Algorithm M) whose digit d is decoded, when it changes, into the d-th
+    element of ``field.elements()``: the base-p digits of d, most
+    significant first.  Nothing of size p^m is built."""
+    p, m = field.p, field.m
+    q = p**m
+
+    def element(d: int) -> FqElem:
+        coeffs = [0] * m
+        for i in reversed(range(m)):
+            d, coeffs[i] = divmod(d, p)
+        return tuple(coeffs)
+
     digits = [0] * width
     for i in reversed(range(width)):
         start, digits[i] = divmod(start, q)
-    combo = [elems[d] for d in digits]
+    combo = [element(d) for d in digits]
+    zero = field.zero()
     while True:
         yield tuple(combo)
         i = width - 1
         while i >= 0 and digits[i] == q - 1:
             digits[i] = 0
-            combo[i] = elems[0]
+            combo[i] = zero
             i -= 1
         if i < 0:
             return
         digits[i] += 1
-        combo[i] = elems[digits[i]]
+        combo[i] = element(digits[i])
 
 
 def descriptor_codes(desc: CaseDescriptor, field: FieldSpec) -> Iterator[CodeSpec]:
@@ -228,17 +239,50 @@ def descriptor_count(desc: CaseDescriptor, m: int) -> int:
     return (desc.p**m) ** desc.free_param_count
 
 
-def count_self_dual(p: int, m: int, s: int) -> int:
-    """Exact closed-form total.  Geometric parts are summed term by term
-    in exact integers, never via division."""
+def _validate_count(p: int, m: int, s: int) -> None:
     _validate_ps(p, s)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    n = p**s
-    q = p**m
+
+
+def _geometric_exponent(n: int) -> tuple[int, int]:
+    """(e, lead): the total for length n is
+    lead * q^e + 2 * (1 + q + ... + q^(e-1))."""
     if n % 4 == 3:
-        return 2 * sum(q**t for t in range((n + 1) // 4))
-    return q ** ((n - 1) // 4) + 2 * sum(q**t for t in range((n - 1) // 4))
+        return (n + 1) // 4, 0
+    return (n - 1) // 4, 1
+
+
+def count_self_dual(p: int, m: int, s: int) -> int:
+    """Exact closed-form total.  The geometric part is (q^e - 1)/(q - 1),
+    one exact big-integer division; the largest number built, q^e, has
+    at most twice the digits of the total."""
+    _validate_count(p, m, s)
+    e, lead = _geometric_exponent(p**s)
+    if e == 1 and not lead:
+        return 2  # N = 3: 2 * (q - 1)/(q - 1) for every q, so q is not built
+    q = p**m
+    power = q**e
+    geom, rem = divmod(power - 1, q - 1)
+    if rem:
+        raise ArithmeticError(f"inexact geometric sum for q={q}, e={e}")
+    return lead * power + 2 * geom
+
+
+def _count_digits(p: int, m: int, s: int) -> float:
+    """The decimal length of ``count_self_dual(p, m, s)``, estimated from
+    logarithms alone, so that a caller can refuse a size before any big
+    power is built: E*m*log10(p) for the total's leading power q^E, at
+    most 1.5 below the true length; inf beyond 10^300 digits."""
+    _validate_count(p, m, s)
+    if s * math.log10(p) > 300:
+        return math.inf
+    e, lead = _geometric_exponent(p**s)
+    top = e - 1 + lead
+    if top == 0:
+        return 0.0
+    log_digits = math.log10(top) + math.log10(m) + math.log10(math.log10(p))
+    return math.inf if log_digits > 300 else 10**log_digits
 
 
 def to_negacyclic(code: CodeSpec) -> RIdealGens:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binomial import g_entry
+from .binomial import _binom_grid
 from .fieldcore import is_prime
 
 # Hard stop for p^lam; full enumeration is long infeasible before this.
@@ -108,13 +108,16 @@ def _checked_order(p: int, lam: int, cap: int) -> int:
 
 
 def build_g_direct(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
-    """Order-p^lam reciprocal matrix straight from the entry formula."""
+    """Order-p^lam reciprocal matrix straight from the entry formula of
+    ``binomial.g_entry``, all entries at once.  Entry (i, j) is
+    C(n - j, (i - j) mod n) with the sign (-1)^(j-1): above the diagonal
+    (i - j) mod n = n + i - j exceeds n - j, so the binomial is 0 there."""
     n = _checked_order(p, lam, cap)
-    arr = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            arr[i - 1, j - 1] = g_entry(p, lam, i, j)
-    return MatrixFp(p, arr)
+    idx = np.arange(1, n + 1, dtype=np.int32)
+    arr = _binom_grid(p, n - idx[None, :], (idx[:, None] - idx[None, :]) % n, max(lam, 1))
+    arr[:, 1::2] = (p - arr[:, 1::2]) % p
+    arr.setflags(write=False)
+    return MatrixFp._view(p, arr)
 
 
 def kron(a: MatrixFp, b: MatrixFp) -> MatrixFp:

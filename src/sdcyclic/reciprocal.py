@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .binomial import _binom_grid
 from .fieldcore import FieldSpec, FqElem
 from .gmatrix import (
     SolutionColumn,
@@ -75,32 +76,18 @@ def _from_array(arr: np.ndarray) -> tuple[FqElem, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pascal_lower(p: int, size: int) -> np.ndarray:
-    """Lower-triangular C(n, k) mod p for 0 <= k <= n < size."""
-    a = np.zeros((size, size), dtype=np.int64)
-    a[:, 0] = 1
-    for n in range(1, size):
-        a[n, 1 : n + 1] = (a[n - 1, :n] + a[n - 1, 1 : n + 1]) % p
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=None)
 def _conv_matrix(p: int, size: int, direction: str) -> np.ndarray:
     """Change-of-basis matrix between the (x-1)-adic and standard
     monomial coordinates, acting on coefficient columns."""
-    pa = _pascal_lower(p, size)
+    if direction not in (XM1_TO_STD, STD_TO_XM1):
+        raise ValueError(f"unknown direction {direction!r}")
+    i = np.arange(size)
+    # STD_TO_XM1: b_i = sum_j C(j, i) c_j, so entry [j, i] is C(i, j) mod p
+    mat = _binom_grid(p, i[None, :], i[:, None], min_level(p, size))
     if direction == XM1_TO_STD:
         # c_j = sum_i (-1)^(i-j) C(i, j) b_i
-        mat = pa.T.copy()
-        i = np.arange(size)
         odd = (i[None, :] - i[:, None]) % 2 == 1
         mat[odd] = (p - mat[odd]) % p
-    elif direction == STD_TO_XM1:
-        # b_i = sum_j C(j, i) c_j
-        mat = pa.T.copy()
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     mat.setflags(write=False)
     return mat
 

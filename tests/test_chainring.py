@@ -435,3 +435,14 @@ def test_verifier_refuses_int64_overflow():
     below = FieldSpec(3037000493, 1, [0, 1])
     gens = RIdealGens(field=below, ring_sign=1, generators=(_const_gen(below, 1, 1),))
     assert span_dimension(gens) == 2 and not is_self_orthogonal(gens)
+
+
+def test_canonical_form_refuses_int64_overflow():
+    p = 4294967311
+    field = FieldSpec(p, 1, [0, 1])
+    gens = RIdealGens(field=field, ring_sign=1, generators=(_const_gen(field, 1, p - 1),))
+    with pytest.raises(ValueError, match="int64"):
+        canonical_form(gens)
+    below = FieldSpec(3037000493, 1, [0, 1])
+    gens = RIdealGens(field=below, ring_sign=1, generators=(_const_gen(below, 1, below.p - 1),))
+    assert canonical_form(gens) == (((1,), (0,)), ((0,), (1,)))

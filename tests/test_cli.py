@@ -1,10 +1,23 @@
 import json
+import sys
 import time
 
+import numpy as np
 import pytest
 
-from sdcyclic import RIdealGens, classify_cases, cli, count_self_dual, descriptor_count, is_self_dual
+from sdcyclic import (
+    MatrixFp,
+    RIdealGens,
+    build_g_kron,
+    classify_cases,
+    cli,
+    count_self_dual,
+    descriptor_count,
+    g_truncated,
+    is_self_dual,
+)
 from sdcyclic.cli import code_to_obj, dispatch, obj_to_code
+from sdcyclic.enumerator import _count_digits
 
 
 def run(capsys, *argv):
@@ -367,3 +380,135 @@ def test_verify_all_refuses_a_window(capsys, window):
     status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "2", "--all", *window)
     assert status == 2 and out == ""
     assert err == "error: --all cannot be combined with --offset/--limit\n"
+
+
+# -- closed forms: matrix text, counts, refusals -------------------------------
+
+def _matrix_text_per_entry(mat):
+    """The per-entry formatter that ``cli._matrix_text`` replaced, kept
+    as its oracle."""
+    width = max(1, len(str(mat.p - 1)))
+    return "\n".join(" ".join(f"{int(v):>{width}}" for v in row) for row in mat.data)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 97, 101, 113, 1009, 2039])  # entry widths 1 to 4
+def test_matrix_text_equals_per_entry_formatter(p):
+    g = g_truncated(p, min(p, 120))  # the full G_p up to p = 113
+    eye = MatrixFp.identity(p, g.rows)
+    shapes = [g, g + eye, g - eye, g_truncated(p, 1), g_truncated(p, 2), g_truncated(p, g.rows // 2)]
+    rng = np.random.default_rng(p)
+    shapes += [MatrixFp(p, rng.integers(0, p, size=(r, c))) for r, c in ((1, 1), (1, 5), (4, 1), (30, 70))]
+    shapes.append(MatrixFp(p, [[0, p - 1], [p - 1, 0]]))
+    for mat in shapes:
+        assert cli._matrix_text(mat) == _matrix_text_per_entry(mat)
+
+
+def test_gmatrix_text_equals_per_entry_formatter(capsys):
+    for argv, mat in [
+        (("--l", "650", "--plus-i"), g_truncated(3, 650) + MatrixFp.identity(3, 650)),
+        (("--lambda", "4", "--minus-i"), build_g_kron(5, 4) - MatrixFp.identity(5, 625)),
+        (("--lambda", "0"), MatrixFp(5, [[1]])),
+    ]:
+        p = str(mat.p)
+        status, out, _ = run(capsys, "gmatrix", "-p", p, *argv)
+        assert status == 0 and out == _matrix_text_per_entry(mat) + "\n"
+
+
+def test_gmatrix_lambda_and_l_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["gmatrix", "-p", "3", "--lambda", "2", "--l", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def _exact_division_total(p, m, s):
+    n, q = p**s, p**m
+    e = (n + 1) // 4 if n % 4 == 3 else (n - 1) // 4
+    geom, rem = divmod(q**e - 1, q - 1)
+    assert rem == 0
+    return 2 * geom if n % 4 == 3 else q**e + 2 * geom
+
+
+def _term_by_term_total(p, m, s):
+    """The summation ``count_self_dual`` used before exact division."""
+    n, q = p**s, p**m
+    if n % 4 == 3:
+        return 2 * sum(q**t for t in range((n + 1) // 4))
+    return q ** ((n - 1) // 4) + 2 * sum(q**t for t in range((n - 1) // 4))
+
+
+def _parse_int(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 10), (11, 3, 4), (3, 1, 12)])
+def test_count_prints_totals_beyond_the_str_limit(capsys, p, m, s):
+    limit = sys.get_int_max_str_digits()
+    expected = _exact_division_total(p, m, s)
+    status, out, _ = run(capsys, "count", "-p", str(p), "-m", str(m), "-s", str(s))
+    assert status == 0 and _parse_int(out) == expected
+    status, out, _ = run(capsys, "count", "-p", str(p), "-m", str(m), "-s", str(s), "--format", "json")
+    assert status == 0
+    head = f'{{"p":{p},"m":{m},"s":{s},"count":'
+    assert out.startswith(head) and out.endswith("}\n")
+    assert _parse_int(out[len(head) : -2]) == expected
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_equals_term_by_term_sum():
+    assert count_self_dual(3, 1, 9) == _term_by_term_total(3, 1, 9)
+    for p, m, s in [(3, 2, 5), (5, 1, 4), (7, 3, 3), (13, 1, 3)]:
+        assert count_self_dual(p, m, s) == _term_by_term_total(p, m, s) == _exact_division_total(p, m, s)
+
+
+def test_count_csv_refuses_cells_beyond_the_str_limit(capsys):
+    start = time.perf_counter()
+    status, out, err = run(capsys, "count", "-p", "3", "-m", "1", "-s", "10", "--format", "csv")
+    assert time.perf_counter() - start < 2
+    assert status == 2 and out == ""
+    assert "csv cell" in err and "--format text" in err
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("m", ["1", "1000000"])
+def test_count_refuses_totals_beyond_the_cap_at_once(capsys, m):
+    start = time.perf_counter()
+    for fmt in ("text", "json", "csv"):
+        status, out, err = run(capsys, "count", "-p", "2147483647", "-m", m, "-s", "1", "--format", fmt)
+        assert status == 2 and out == "" and "cap" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_count_builds_no_power_the_total_does_not_need(capsys):
+    # N = 3: the total is 2 whatever q is, so q = 3^1000000 is never built
+    start = time.perf_counter()
+    status, out, _ = run(capsys, "count", "-p", "3", "-m", "1000000", "-s", "1")
+    assert status == 0 and out == "2\n"
+    status, _, err = run(capsys, "count", "-p", "3", "-m", "1000000", "-s", "2")
+    assert status == 2 and "cap" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_count_cap_admits_3_1_12_and_refuses_3_1_13():
+    # (3, 1, 12) has 63,391 digits, (3, 1, 13) has 190,172
+    assert _count_digits(3, 1, 12) <= cli.COUNT_DIGITS_CAP < _count_digits(3, 1, 13)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-p", "3", "-m", "40", "-s", "1", "--limit", "1"),
+        ("negacyclic", "-p", "3", "-m", "40", "-s", "1", "--limit", "1"),
+        ("verify", "-p", "3", "-m", "40", "-s", "1", "--limit", "1"),
+    ],
+)
+def test_large_fields_stream_at_once(capsys, argv):
+    start = time.perf_counter()
+    status, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert status == 0 and len(out.splitlines()) == 1

@@ -20,7 +20,7 @@ from sdcyclic import (
     solution_basis,
     to_negacyclic,
 )
-from sdcyclic.enumerator import CASE_EVEN_K, CASE_K0, CASE_ODD_K, _family_plan
+from sdcyclic.enumerator import CASE_EVEN_K, CASE_K0, CASE_ODD_K, _family_plan, _param_tuples
 from sdcyclic.reciprocal import XM1_TO_STD
 
 
@@ -322,6 +322,22 @@ def test_enumerate_from_start_index_is_a_suffix(p, m, s):
     full = list(enumerate_codes(p, m, s))
     for start in range(len(full) + 2):
         assert list(enumerate_codes(p, m, s, start=start)) == full[start:]
+
+
+SMALL_FIELDS = [(p, m) for p in (3, 5, 7, 11) for m in (1, 2, 3, 4) if p**m <= 125] + [
+    (p, 1) for p in (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_parameter_odometer_follows_field_order(p, m):
+    field = find_irreducible(p, m)
+    elems = list(field.elements())
+    assert list(_param_tuples(field, 1, 0)) == [(e,) for e in elems]
+    if p**m <= 25:
+        pairs = list(itertools.product(elems, repeat=2))
+        for start in (0, 1, len(elems) - 1, len(elems), len(pairs) - 1):
+            assert list(_param_tuples(field, 2, start)) == pairs[start:]
 
 
 def test_enumerate_rejects_negative_start():

@@ -7,6 +7,7 @@ from sdcyclic import (
     MatrixFp,
     build_g_direct,
     build_g_kron,
+    g_entry,
     g_truncated,
     kron,
     min_level,
@@ -71,6 +72,27 @@ def test_kron_identities():
 def test_kron_rejects_mixed_characteristic():
     with pytest.raises(ValueError):
         kron(MatrixFp(3, [[1]]), MatrixFp(5, [[1]]))
+
+
+ODD_PRIMES_BELOW_60 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+ENTRY_RANGE = (
+    [(p, 1) for p in ODD_PRIMES_BELOW_60]
+    + [(3, lam) for lam in range(6)]
+    + [(5, lam) for lam in range(4)]
+    + [(7, 2), (1021, 1)]
+)
+
+
+@pytest.mark.parametrize("p,lam", ENTRY_RANGE)
+def test_direct_equals_entry_formula(p, lam):
+    n = p**lam
+    expected = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            expected[i - 1, j - 1] = g_entry(p, lam, i, j)
+    g = build_g_direct(p, lam)
+    assert g.data.dtype == np.int64 and not g.data.flags.writeable
+    assert np.array_equal(g.data, expected)
 
 
 CONSTRUCTION_RANGE = [(3, lam) for lam in range(6)] + [(5, lam) for lam in range(4)] + [(7, lam) for lam in range(4)]

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sdcyclic import (
@@ -14,8 +15,9 @@ from sdcyclic import (
     reciprocal_transform,
     solution_basis,
 )
-from sdcyclic.binomial import binom_mod_p
-from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD, _pascal_lower
+from sdcyclic.binomial import _binom_grid, binom_mod_p
+from sdcyclic.gmatrix import min_level
+from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD
 
 
 def _poly(field, ints):
@@ -52,8 +54,9 @@ def test_basis_convert_rejects_unknown_direction(f3):
 
 
 def test_pascal_cache_matches_lucas():
+    i = np.arange(30)
     for p in (3, 5):
-        table = _pascal_lower(p, 30)
+        table = _binom_grid(p, i[:, None], i[None, :], min_level(p, 30))
         for n in range(30):
             for k in range(30):
                 assert table[n][k] == (binom_mod_p(n, k, p) if k <= n else 0)
