@@ -18,25 +18,32 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .chainring import RIdealGens, _self_dual_failure, is_self_dual
 from .enumerator import (
     CodeSpec,
+    _block,
+    _Block,
+    _checked_params,
+    _code_families,
     _count_digits,
+    _sample_draws,
+    _stream_blocks,
     build_code,
     classify_cases,
     count_self_dual,
     descriptor_count,
     enumerate_codes,
-    sample_codes,
     to_negacyclic,
 )
 from .fieldcore import FieldSpec, FqElem, find_irreducible
@@ -61,55 +68,153 @@ def _parse_params(field: FieldSpec, text: str) -> tuple[FqElem, ...]:
     return tuple(_parse_fq(field, item) for item in text.split(","))
 
 
-def _poly_str(field: FieldSpec, coeffs: Sequence[FqElem]) -> str:
-    terms = []
-    for d, c in enumerate(coeffs):
-        if not any(c):
-            continue
-        cs = _fq_str(c) if field.m == 1 else f"({_fq_str(c)})"
-        if d == 0:
-            terms.append(cs)
-        else:
-            xs = "x" if d == 1 else f"x^{d}"
-            terms.append(xs if cs == "1" else f"{cs}{xs}")
-    return "+".join(terms) if terms else "0"
-
-
-def _gen_str(field: FieldSpec, gen) -> str:
-    apart = [v[0] for v in gen]
-    bpart = [v[1] for v in gen]
-    a_str = _poly_str(field, apart)
-    b_str = _poly_str(field, bpart)
-    if b_str == "0":
-        return a_str
-    piece = "u" if b_str == "1" else f"u*({b_str})"
-    return piece if a_str == "0" else f"{a_str}+{piece}"
-
-
 def _code_label(code: CodeSpec, index: int) -> str:
     d = code.descriptor
     params = ",".join(_fq_str(a) for a in code.params)
     return f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{params}]"
 
 
-def _code_text(field: FieldSpec, code: CodeSpec, gens: RIdealGens, index: int) -> str:
-    body = "; ".join(_gen_str(field, g) for g in gens.generators)
-    return f"{_code_label(code, index)} <{body}>"
+@functools.lru_cache(maxsize=4)
+def _x_powers(n: int) -> tuple[str, ...]:
+    """The monomial of each degree below n as printed: '', 'x', 'x^2', ..."""
+    return ("", "x") + tuple(f"x^{d}" for d in range(2, n))
 
 
-def _matrix_text(mat: MatrixFp) -> str:
-    """Rows of right-aligned entries, all of the width of p - 1, built as
-    one (rows, cols, width + 1) byte grid: each cell is its digits after
-    leading spaces, then a separator byte (space, or newline at a row's
-    end).  The grid stays in the narrowest dtype that holds p - 1."""
+# Fields of at most this many elements print coefficients from a table.
+COEFF_TABLE_MAX = 4096
+
+
+@functools.lru_cache(maxsize=4)
+def _coeff_texts(p: int, m: int) -> tuple[str, ...]:
+    """Each element as printed in front of a power of x, in the order of
+    ``FieldSpec.elements()``: the residue, or '' for 1, when m = 1; the
+    colon-joined coefficients in parentheses when m > 1."""
+    if m == 1:
+        return ("0", "") + tuple(map(str, range(2, p)))
+    return tuple(f"({':'.join(map(str, e))})" for e in itertools.product(range(p), repeat=m))
+
+
+def _rows_json(arr: np.ndarray) -> str:
+    """A (rows, m) integer array as compact json: a list of lists."""
+    if not len(arr):
+        return "[]"
+    if arr.shape[1] == 1:
+        inner = "],[".join(map(str, arr.ravel().tolist()))
+    else:
+        inner = "],[".join([",".join(map(str, row)) for row in arr.tolist()])
+    return f"[[{inner}]]"
+
+
+def _params_text(params: np.ndarray) -> str:
+    """A (w, m) parameter row as printed: elements joined by ',', each
+    its colon-joined coefficients."""
+    if params.shape[1] == 1:
+        return ",".join(map(str, params.ravel().tolist()))
+    return ",".join([":".join(map(str, e)) for e in params.tolist()])
+
+
+def _poly_text(arr: np.ndarray, p: int) -> str:
+    """A polynomial given as an (N, m) array of standard coefficients, as
+    text: nonzero terms low degree first, joined by '+'; a coefficient is
+    its colon-joined field coefficients, in parentheses when m > 1, and
+    is left out when it is 1 in front of a power of x; '0' for zero."""
+    m = arr.shape[1]
+    xs = _x_powers(len(arr))
+    if m > 1 and p**m > COEFF_TABLE_MAX:
+        degrees = np.flatnonzero(arr.any(axis=1)).tolist()
+        terms = [f"({_fq_str(c)}){xs[d]}" for d, c in zip(degrees, arr[degrees].tolist())]
+        return "+".join(terms) or "0"
+    # each coefficient's position in the field's element order
+    index = arr[:, 0] if m == 1 else arr @ p ** np.arange(m - 1, -1, -1)
+    degrees = np.flatnonzero(index).tolist()
+    if not degrees:
+        return "0"
+    values = index[degrees].tolist()
+    terms = list(map(operator.add, map(_coeff_texts(p, m).__getitem__, values), map(xs.__getitem__, degrees)))
+    if m == 1 and degrees[0] == 0:
+        terms[0] = str(values[0])
+    return "+".join(terms)
+
+
+def _row_renderer(block: _Block, fmt: str):
+    """The line printer of one family, in the ring of ``block``: the
+    family's constant pieces (label head, u-part, second generator, json
+    prefix and suffix) are put together once; per code only the
+    parameters and the main part ``a`` of the first generator are
+    rendered.  Returns ``render(index, params, a)`` for a (w, m)
+    parameter row and an (N, m) array ``a``."""
+    d = block.desc
+    if fmt == "json":
+        head = _json_dumps({"p": d.p, "m": block.field.m, "s": d.s, "case": d.sub, "nu": d.nu, "k": d.k})
+        head = head[:-1] + ',"params":'
+        mid = ',"generators":[{"a":{"basis":"std","coeffs":'
+        gens = [',"b":' + _json_dumps(poly_to_obj(block.u.tolist())) + "}"]
+        if block.second is not None:
+            zero = np.zeros_like(block.second)
+            second = {"a": poly_to_obj(block.second.tolist()), "b": poly_to_obj(zero.tolist())}
+            gens.append("," + _json_dumps(second))
+        tail = "}" + "".join(gens) + f'],"ring_sign":{block.ring_sign}}}'
+
+        def render(index: int, params: np.ndarray, a: np.ndarray) -> str:
+            return head + _rows_json(params) + mid + _rows_json(a) + tail
+
+        return render
+    head = f" case={d.sub} nu={d.nu} k={d.k} params=["
+    b_str = _poly_text(block.u, d.p)
+    tail = "u" if b_str == "1" else f"u*({b_str})"
+    if block.second is not None:
+        tail += f"; {_poly_text(block.second, d.p)}"
+    tail += ">"
+
+    def render(index: int, params: np.ndarray, a: np.ndarray) -> str:
+        a_str = _poly_text(a, d.p)
+        joint = "" if a_str == "0" else a_str + "+"
+        return f"index={index}{head}{_params_text(params)}] <{joint}{tail}"
+
+    return render
+
+
+def _block_lines(blocks: Iterable[_Block], fmt: str, first_index: int) -> Iterator[str]:
+    """One line per code of the blocks, numbered from ``first_index``;
+    each line is rendered only when it is asked for."""
+    index = first_index
+    desc = render = None
+    for block in blocks:
+        if block.desc is not desc:
+            desc, render = block.desc, _row_renderer(block, fmt)
+        for params, a in zip(block.params, block.a):
+            yield render(index, params, a)
+            index += 1
+
+
+def _matrix_grid(mat: MatrixFp, sep: str, row_end: str) -> np.ndarray:
+    """The entries of ``mat`` as one (rows, cols, width + 1) byte grid,
+    width that of p - 1: each cell is its digits after leading spaces,
+    then ``sep``, or ``row_end`` in a row's last cell.  The grid stays in
+    the narrowest dtype that holds p - 1."""
     width = max(1, len(str(mat.p - 1)))
     vals = mat.data.astype(np.min_scalar_type(mat.p - 1))
-    grid = np.full(vals.shape + (width + 1,), ord(" "), dtype=np.uint8)
+    grid = np.full(vals.shape + (width + 1,), ord(sep), dtype=np.uint8)
     for w in range(width):
         digit = vals // 10**w % 10 + ord("0")
         grid[..., width - 1 - w] = digit if w == 0 else np.where(vals >= 10**w, digit, ord(" "))
-    grid[:, -1, width] = ord("\n")
-    return grid.tobytes()[:-1].decode("ascii")
+    grid[:, -1, width] = ord(row_end)
+    return grid
+
+
+def _matrix_text(mat: MatrixFp) -> str:
+    """Rows of right-aligned entries, all of the width of p - 1."""
+    return _matrix_grid(mat, " ", "\n").tobytes()[:-1].decode("ascii")
+
+
+def _matrix_json(mat: MatrixFp) -> str:
+    """The entries as a compact json list of rows: the text grid with
+    ',' between cells, each row in brackets, the padding removed."""
+    grid = _matrix_grid(mat, ",", "]").reshape(mat.rows, -1)
+    edge = np.full((mat.rows, 1), ord("["), dtype=np.uint8)
+    rows = np.concatenate([edge, grid, np.full_like(edge, ord(","))], axis=1)
+    body = rows.tobytes()[:-1].replace(b" ", b"").decode("ascii")
+    return f'{{"p":{mat.p},"rows":{mat.rows},"cols":{mat.cols},"entries":[{body}]}}'
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +266,7 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     field = find_irreducible(p, m)
     match = [
         d
-        for d in classify_cases(p, s)
+        for d in _code_families(p, s)
         if d.sub == obj["case"] and d.nu == obj["nu"] and d.k == obj["k"]
     ]
     if not match:
@@ -231,8 +336,7 @@ def _cmd_gmatrix(args) -> int:
     elif args.minus_i:
         mat = mat - MatrixFp.identity(p, mat.rows)
     if args.format == "json":
-        obj = {"p": p, "rows": mat.rows, "cols": mat.cols, "entries": mat.data.tolist()}
-        _emit(_json_dumps(obj), args.out)
+        _emit(_matrix_json(mat), args.out)
     else:
         _emit(_matrix_text(mat), args.out)
     return 0
@@ -300,22 +404,16 @@ def _check_non_negative(args, *names: str) -> None:
 
 
 def _window(args) -> Iterator[CodeSpec]:
-    """The --offset/--limit window of the enumeration; the codes before
-    the window are skipped without being built."""
+    """The --offset/--limit window of the enumeration, as ``CodeSpec``s;
+    the codes before the window are skipped without being built."""
     _check_non_negative(args, "offset", "limit")
     stream = enumerate_codes(args.p, args.m, args.s, start=args.offset)
     return itertools.islice(stream, args.limit)
 
 
-def _emit_codes(args, pairs) -> int:
-    """pairs: iterable of (index, code, generators-to-print).  Each line
-    is written as soon as its code is built; the output is opened only
-    once the first line (or the lack of one) is known."""
-    field = find_irreducible(args.p, args.m)
-    if args.format == "json":
-        lines = (_json_dumps(code_to_obj(code, gens)) for _, code, gens in pairs)
-    else:
-        lines = (_code_text(field, code, gens, index) for index, code, gens in pairs)
+def _emit_lines(args, lines: Iterator[str]) -> int:
+    """Each line is written as soon as it is rendered; the output is
+    opened only once the first line (or the lack of one) is known."""
     first = next(lines, "(no codes)")
     with _open_out(args.out) as fh:
         fh.write(first + "\n")
@@ -324,35 +422,42 @@ def _emit_codes(args, pairs) -> int:
     return 0
 
 
+def _emit_window(args, ring_sign: int) -> int:
+    """The --offset/--limit window of the enumeration in the ring
+    x^N - ring_sign, rendered row by row from the code blocks."""
+    _check_non_negative(args, "offset", "limit")
+    blocks = _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign)
+    lines = _block_lines(blocks, args.format, args.offset)
+    return _emit_lines(args, itertools.islice(lines, args.limit))
+
+
 def _cmd_enumerate(args) -> int:
-    if args.sample is not None:
-        _check_non_negative(args, "sample")
-        if args.offset or args.limit is not None:
-            raise ValueError("--sample cannot be combined with --offset/--limit")
-        stream = sample_codes(args.p, args.m, args.s, args.sample, seed=args.seed)
-        pairs = ((i, code, code.generators) for i, code in enumerate(stream))
-        return _emit_codes(args, pairs)
-    indexed = enumerate(_window(args), args.offset)
-    pairs = ((i, code, code.generators) for i, code in indexed)
-    return _emit_codes(args, pairs)
+    if args.sample is None:
+        return _emit_window(args, 1)
+    _check_non_negative(args, "sample")
+    if args.offset or args.limit is not None:
+        raise ValueError("--sample cannot be combined with --offset/--limit")
+
+    def blocks() -> Iterator[_Block]:
+        field = find_irreducible(args.p, args.m)
+        for desc, params in _sample_draws(args.p, args.m, args.s, args.sample, args.seed):
+            yield _block(desc, field, _checked_params(desc, params, field))
+
+    return _emit_lines(args, _block_lines(blocks(), args.format, 0))
 
 
 def _cmd_negacyclic(args) -> int:
-    indexed = enumerate(_window(args), args.offset)
-    pairs = ((i, code, to_negacyclic(code)) for i, code in indexed)
-    return _emit_codes(args, pairs)
+    return _emit_window(args, -1)
 
 
 def _cmd_build(args) -> int:
     field = find_irreducible(args.p, args.m)
-    match = [d for d in classify_cases(args.p, args.s) if d.k == args.k]
+    match = [d for d in _code_families(args.p, args.s) if d.k == args.k]
     if not match:
         raise ValueError(f"no case has k={args.k} for p={args.p}, s={args.s}")
-    code = build_code(match[0], _parse_params(field, args.params), field)
-    if args.format == "json":
-        _emit(_json_dumps(code_to_obj(code)), args.out)
-    else:
-        _emit(_code_text(field, code, code.generators, 0), args.out)
+    params = _checked_params(match[0], _parse_params(field, args.params), field)
+    (line,) = _block_lines([_block(match[0], field, params)], args.format, 0)
+    _emit(line, args.out)
     return 0
 
 

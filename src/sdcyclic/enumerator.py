@@ -18,6 +18,7 @@ resumable by plain index.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from .chainring import RIdealGens, RVector
 from .fieldcore import FieldSpec, FqElem, find_irreducible, is_prime
-from .gmatrix import column_index_range
+from .gmatrix import DEFAULT_SIZE_CAP, _checked_order, column_index_range
 from .reciprocal import XM1_TO_STD, XPoly, _conv_matrix, _from_array, solution_basis
 
 CASE_K0 = "k0"
@@ -95,6 +96,15 @@ def classify_cases(p: int, s: int) -> list[CaseDescriptor]:
     return out
 
 
+def _code_families(p: int, s: int) -> list[CaseDescriptor]:
+    """``classify_cases`` for building codes.  Every code of length
+    N = p^s needs N x N matrices, so a length above the matrix size cap
+    is refused before the (N - 1)/2 families are listed."""
+    _validate_ps(p, s)
+    _checked_order(p, s, DEFAULT_SIZE_CAP)
+    return classify_cases(p, s)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """One concrete self-dual cyclic code: its family, the chosen free
@@ -109,32 +119,33 @@ class CodeSpec:
 
 @dataclass(frozen=True)
 class _FamilyPlan:
-    """Everything ``build_code`` needs of one family that does not depend
-    on the parameters, built once per family.
+    """Everything a code of one family needs that does not depend on the
+    parameters, built once per family.  All arrays are read-only.
 
-    cols: the (l - delta) x dim solution-basis columns over F_p, read-only.
+    cols: the (l - delta) x dim solution-basis columns over F_p.
     conv: columns [k+1+delta, k+1+l) of the (x-1)-adic -> standard
-        conversion matrix, a read-only N x (l - delta) view.
-    u_std: the u-part (x-1)^k in standard coordinates.
-    second: the second generator (x-1)^(N-k), or None when k = 0.
+        conversion matrix, an N x (l - delta) view.
+    u: the u-part (x-1)^k in standard coordinates, N x m.
+    second: the second generator's main part (x-1)^(N-k), N x m, or
+        None when k = 0.
     """
 
     cols: np.ndarray
     conv: np.ndarray
-    u_std: tuple[FqElem, ...]
-    second: RVector | None
+    u: np.ndarray
+    second: np.ndarray | None
 
 
-def _std_image(field: FieldSpec, conv: np.ndarray, position: int) -> tuple[FqElem, ...]:
-    """(x-1)^position inside F[x]/(x^n - 1), in standard coordinates."""
-    return _from_array(np.outer(conv[:, position], field.one()))
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 # Small, so memory stays flat over long sweeps; the enumeration stream
 # visits families one after another and needs one plan at a time.
 @lru_cache(maxsize=4)
 def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
-    n = desc.p**desc.s
+    n = _checked_order(desc.p, desc.s, DEFAULT_SIZE_CAP)
     k, l, delta = desc.k, desc.l, desc.delta
     if l > 0:
         basis = solution_basis(field, l, delta)
@@ -142,71 +153,187 @@ def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
         cols = cols.reshape(basis.dimension, l - delta).T
     else:
         cols = np.zeros((0, 0), dtype=np.int64)
-    cols.setflags(write=False)
     conv = _conv_matrix(field.p, n, XM1_TO_STD)
-    second = None
-    if k > 0:
-        zero = field.zero()
-        second = tuple((c, zero) for c in _std_image(field, conv, n - k))
-    return _FamilyPlan(cols, conv[:, k + 1 + delta : k + 1 + l], _std_image(field, conv, k), second)
+    # (x-1)^j in standard coordinates is column j of the conversion matrix
+    u = np.outer(conv[:, k], field.one())
+    second = np.outer(conv[:, n - k], field.one()) if k > 0 else None
+    return _FamilyPlan(
+        _read_only(cols),
+        conv[:, k + 1 + delta : k + 1 + l],
+        _read_only(u),
+        None if second is None else _read_only(second),
+    )
+
+
+# Most codes one block holds, and most int64 entries of its first-generator
+# array, so a block stays within 2 MB whatever N and m are.
+BLOCK_CODES = 256
+BLOCK_ENTRIES = 1 << 18
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Up to ``BLOCK_CODES`` consecutive codes of one family over
+    ``field``, in the ring x^N - ring_sign.
+
+    params: (C, w, m) free parameters, one row per code.
+    b: (C, l - delta, m) the (x-1)-adic coefficients of b from delta on
+        (those below delta are 0), as in the cyclic code.
+    a: (C, N, m) main parts of the first generators, standard coordinates.
+    u / second: the family's parameter-free parts in the same ring: the
+        first generator's u-part and the second generator's main part
+        (None when k = 0), N x m each.
+    """
+
+    desc: CaseDescriptor
+    field: FieldSpec
+    ring_sign: int
+    params: np.ndarray
+    b: np.ndarray
+    a: np.ndarray
+    u: np.ndarray
+    second: np.ndarray | None
+
+
+def _negate_odd_degrees(arr: np.ndarray, p: int) -> np.ndarray:
+    """The image of x -> -x on standard coefficients, degree on axis -2
+    and field coefficients on axis -1: one sign mask, -1 on odd degrees."""
+    n = arr.shape[-2]
+    sign = 1 - 2 * (np.arange(n, dtype=np.int64) % 2)
+    return arr * sign[:, None] % p
+
+
+def _block(desc: CaseDescriptor, field: FieldSpec, params: np.ndarray, ring_sign: int = 1) -> _Block:
+    """The codes of one family for a (C, w, m) parameter array, all rows
+    at once: ``b = cols . params`` and ``a = conv . b`` (mod p), and for
+    ring_sign = -1 the whole block flipped by one sign mask."""
+    plan = _family_plan(desc, field)
+    p = field.p
+    b = np.matmul(plan.cols, params) % p
+    a = np.matmul(plan.conv, b) % p
+    u, second = plan.u, plan.second
+    if ring_sign == -1:
+        a, u = _negate_odd_degrees(a, p), _negate_odd_degrees(u, p)
+        second = None if second is None else _negate_odd_degrees(second, p)
+    return _Block(desc, field, ring_sign, params, b, a, u, second)
+
+
+def _codes(block: _Block) -> Iterator[CodeSpec]:
+    """The cyclic block's rows as ``CodeSpec``s, converted one at a time."""
+    desc, field = block.desc, block.field
+    pad = (field.zero(),) * desc.delta
+    u = _from_array(block.u)
+    rest: tuple[RVector, ...] = ()
+    if block.second is not None:
+        rest = (tuple((c, field.zero()) for c in _from_array(block.second)),)
+    for params, b, a in zip(block.params, block.b, block.a):
+        gens = (tuple(zip(_from_array(a), u)),) + rest
+        yield CodeSpec(
+            desc,
+            _from_array(params),
+            XPoly(field, desc.l, pad + _from_array(b)),
+            RIdealGens(field=field, ring_sign=1, generators=gens),
+        )
+
+
+def _checked_params(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> np.ndarray:
+    """One code's parameters as a (1, w, m) block, each normalised by
+    ``field.element`` and their number checked."""
+    if field.p != desc.p:
+        raise ValueError(f"field characteristic {field.p} does not match descriptor p={desc.p}")
+    norm = [field.element(a) for a in params]
+    if len(norm) != desc.free_param_count:
+        raise ValueError(f"expected {desc.free_param_count} parameters, got {len(norm)}")
+    return np.array(norm, dtype=np.int64).reshape(1, len(norm), field.m)
 
 
 def build_code(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> CodeSpec:
     """Assemble the code for one family and one choice of free
     parameters: b is the span element of the truncated solution basis,
-    embedded at offset delta."""
-    if field.p != desc.p:
-        raise ValueError(f"field characteristic {field.p} does not match descriptor p={desc.p}")
-    norm = tuple(field.element(a) for a in params)
-    if len(norm) != desc.free_param_count:
-        raise ValueError(f"expected {desc.free_param_count} parameters, got {len(norm)}")
-    plan = _family_plan(desc, field)
-    p = field.p
-    tail = (plan.cols @ np.array(norm, dtype=np.int64).reshape(len(norm), field.m)) % p
-    b = XPoly(field, desc.l, (field.zero(),) * desc.delta + _from_array(tail))
-    # (x-1)^(k+1) * b(x), in standard coordinates
-    g1: RVector = tuple(zip(_from_array((plan.conv @ tail) % p), plan.u_std))
-    gens = (g1,) if plan.second is None else (g1, plan.second)
-    return CodeSpec(desc, norm, b, RIdealGens(field=field, ring_sign=1, generators=gens))
+    embedded at offset delta.  The one-row case of the block kernel."""
+    block = _block(desc, field, _checked_params(desc, params, field))
+    return next(_codes(block))
 
 
-def _param_tuples(field: FieldSpec, width: int, start: int) -> Iterator[tuple[FqElem, ...]]:
-    """Parameter tuples of one family in lexicographic order, from the
-    ``start``-th on: a radix-p^m odometer (Knuth, TAOCP 7.2.1.1,
-    Algorithm M) whose digit d is decoded, when it changes, into the d-th
-    element of ``field.elements()``: the base-p digits of d, most
-    significant first.  Nothing of size p^m is built."""
-    p, m = field.p, field.m
-    q = p**m
-
-    def element(d: int) -> FqElem:
-        coeffs = [0] * m
-        for i in reversed(range(m)):
-            d, coeffs[i] = divmod(d, p)
-        return tuple(coeffs)
-
-    digits = [0] * width
+def _base_p_digits(value: int, p: int, width: int) -> list[int]:
+    out = [0] * width
     for i in reversed(range(width)):
-        start, digits[i] = divmod(start, q)
-    combo = [element(d) for d in digits]
-    zero = field.zero()
-    while True:
-        yield tuple(combo)
-        i = width - 1
-        while i >= 0 and digits[i] == q - 1:
-            digits[i] = 0
-            combo[i] = zero
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
-        combo[i] = element(digits[i])
+        value, out[i] = divmod(value, p)
+    return out
+
+
+def _decode_block(field: FieldSpec, width: int, start: int, count: int) -> np.ndarray:
+    """The parameters of in-family indices start, ..., start + count - 1,
+    as a (count, width, m) array in lexicographic order: each index
+    written in base q = p^m with ``width`` digits, each digit d the d-th
+    element of ``field.elements()``.  Together these are the index's
+    width*m base-p digits, most significant first.
+
+    Exact for any ``start``: the lowest L digits, p^L >= count, are
+    decoded in int64, and the higher ones, which at most one carry
+    reaches, from ``start // p^L`` and that plus one as Python ints."""
+    p, m = field.p, field.m
+    total = width * m
+    low, radix = 0, 1
+    while low < total and radix < count:
+        low, radix = low + 1, radix * p
+    high, rest = divmod(start, radix)
+    index = rest + np.arange(count, dtype=np.int64)
+    carry = (index >= radix).astype(np.intp)
+    index -= carry * radix
+    powers = p ** np.arange(low - 1, -1, -1, dtype=np.int64)
+    lows = index[:, None] // powers % p
+    heads = np.array([_base_p_digits(high + c, p, total - low) for c in (0, 1)], dtype=np.int64)
+    digits = np.concatenate([heads[carry], lows], axis=1)
+    return digits.reshape(count, width, m)
+
+
+def _block_cap(n: int, m: int) -> int:
+    return max(1, min(BLOCK_CODES, BLOCK_ENTRIES // (n * m)))
+
+
+def _family_blocks(
+    descs: Sequence[CaseDescriptor], field: FieldSpec, start: int, ring_sign: int = 1
+) -> Iterator[_Block]:
+    """The enumeration stream from index ``start`` on, as blocks.  Whole
+    families before ``start`` are skipped by their exact counts, so no
+    skipped code is built.  Blocks grow 1, 2, 4, ... up to the cap, so the
+    first code comes at once and a short window builds at most about
+    twice the codes it prints."""
+    size = 1
+    for desc in descs:
+        total = descriptor_count(desc, field.m)
+        if start >= total:
+            start -= total
+            continue
+        cap = _block_cap(desc.p**desc.s, field.m)
+        while start < total:
+            count = min(size, cap, total - start)
+            params = _decode_block(field, desc.free_param_count, start, count)
+            yield _block(desc, field, params, ring_sign)
+            start += count
+            size = min(2 * size, BLOCK_CODES)
+        start = 0
 
 
 def descriptor_codes(desc: CaseDescriptor, field: FieldSpec) -> Iterator[CodeSpec]:
     """All codes of one family, parameters in lexicographic order."""
-    for combo in _param_tuples(field, desc.free_param_count, 0):
-        yield build_code(desc, combo, field)
+    for block in _family_blocks([desc], field, 0):
+        yield from _codes(block)
+
+
+def _stream_blocks(
+    p: int, m: int, s: int, field: FieldSpec | None = None, start: int = 0, ring_sign: int = 1
+) -> Iterator[_Block]:
+    """The blocks of ``enumerate_codes(p, m, s, field, start)``, in the
+    ring x^N - ring_sign."""
+    if field is None:
+        field = find_irreducible(p, m)
+    elif (field.p, field.m) != (p, m):
+        raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
+    if start < 0:
+        raise ValueError(f"start index must be >= 0, got {start}")
+    yield from _family_blocks(_code_families(p, s), field, start, ring_sign)
 
 
 def enumerate_codes(
@@ -218,20 +345,8 @@ def enumerate_codes(
     The stream begins at index ``start``; skipped codes are never built.
     Whole families are skipped by their exact counts, so the cost of
     reaching any index is O(#families)."""
-    if field is None:
-        field = find_irreducible(p, m)
-    elif (field.p, field.m) != (p, m):
-        raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
-    if start < 0:
-        raise ValueError(f"start index must be >= 0, got {start}")
-    for desc in classify_cases(p, s):
-        size = descriptor_count(desc, m)
-        if start >= size:
-            start -= size
-            continue
-        for combo in _param_tuples(field, desc.free_param_count, start):
-            yield build_code(desc, combo, field)
-        start = 0
+    for block in _stream_blocks(p, m, s, field, start):
+        yield from _codes(block)
 
 
 def descriptor_count(desc: CaseDescriptor, m: int) -> int:
@@ -290,24 +405,28 @@ def to_negacyclic(code: CodeSpec) -> RIdealGens:
     sign, and the result generates a negacyclic (x^N + 1) ideal.  The
     map is a ring isomorphism, so it carries self-dual cyclic codes
     bijectively onto self-dual negacyclic ones."""
-    field = code.generators.field
-    flipped = []
-    for g in code.generators.generators:
-        flipped.append(
-            tuple(
-                (a, b) if d % 2 == 0 else (field.neg(a), field.neg(b))
-                for d, (a, b) in enumerate(g)
-            )
-        )
-    return RIdealGens(field=field, ring_sign=-1, generators=tuple(flipped))
+    gens = code.generators
+    field = gens.field
+    size, n, m = len(gens.generators), gens.n, field.m
+    # (generators, N, 2m): both parts of every coefficient, one mask
+    flat = itertools.chain.from_iterable
+    values = flat(flat(flat(gens.generators)))
+    arr = np.fromiter(values, dtype=np.int64, count=size * n * 2 * m).reshape(size, n, 2 * m)
+    flipped = _negate_odd_degrees(arr, field.p).reshape(size, n, 2, m)
+    return RIdealGens(
+        field=field,
+        ring_sign=-1,
+        generators=tuple(
+            tuple(zip(map(tuple, g[:, 0].tolist()), map(tuple, g[:, 1].tolist()))) for g in flipped
+        ),
+    )
 
 
-def sample_codes(p: int, m: int, s: int, count: int, seed: int = 0) -> Iterator[CodeSpec]:
-    """``count`` codes drawn uniformly at random from the full family,
-    reproducibly from ``seed``.  A CLI convenience: family weights are
-    exact big integers, so the draw is uniform even for huge families."""
-    field = find_irreducible(p, m)
-    descs = classify_cases(p, s)
+def _sample_draws(
+    p: int, m: int, s: int, count: int, seed: int
+) -> Iterator[tuple[CaseDescriptor, tuple[FqElem, ...]]]:
+    """The (family, parameters) pairs of ``sample_codes``."""
+    descs = _code_families(p, s)
     weights = [descriptor_count(d, m) for d in descs]
     total = sum(weights)
     rng = random.Random(seed)
@@ -320,4 +439,13 @@ def sample_codes(p: int, m: int, s: int, count: int, seed: int = 0) -> Iterator[
         params = tuple(
             tuple(rng.randrange(p) for _ in range(m)) for _ in range(desc.free_param_count)
         )
+        yield desc, params
+
+
+def sample_codes(p: int, m: int, s: int, count: int, seed: int = 0) -> Iterator[CodeSpec]:
+    """``count`` codes drawn uniformly at random from the full family,
+    reproducibly from ``seed``.  A CLI convenience: family weights are
+    exact big integers, so the draw is uniform even for huge families."""
+    field = find_irreducible(p, m)
+    for desc, params in _sample_draws(p, m, s, count, seed):
         yield build_code(desc, params, field)

@@ -19,17 +19,35 @@ from typing import Iterable, Iterator, Sequence, Tuple
 FqElem = Tuple[int, ...]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound, psi_13 (Sorenson and Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (small moduli only)."""
+    """Deterministic Miller-Rabin primality test, exact for every
+    n < MILLER_RABIN_BOUND; refuses larger n with ``ValueError``."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality is decided only below {MILLER_RABIN_BOUND}, got {n}")
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import sys
 import time
@@ -8,16 +10,68 @@ import pytest
 from sdcyclic import (
     MatrixFp,
     RIdealGens,
+    build_code,
     build_g_kron,
     classify_cases,
     cli,
     count_self_dual,
     descriptor_count,
+    find_irreducible,
     g_truncated,
     is_self_dual,
+    sample_codes,
+    to_negacyclic,
 )
-from sdcyclic.cli import code_to_obj, dispatch, obj_to_code
+from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
 from sdcyclic.enumerator import _count_digits
+
+
+# -- the per-code renderer the row renderer replaced, kept as its oracle
+
+def _poly_str(field, coeffs):
+    terms = []
+    for d, c in enumerate(coeffs):
+        if not any(c):
+            continue
+        cs = _fq_str(c) if field.m == 1 else f"({_fq_str(c)})"
+        if d == 0:
+            terms.append(cs)
+        else:
+            xs = "x" if d == 1 else f"x^{d}"
+            terms.append(xs if cs == "1" else f"{cs}{xs}")
+    return "+".join(terms) if terms else "0"
+
+
+def _gen_str(field, gen):
+    apart = [v[0] for v in gen]
+    bpart = [v[1] for v in gen]
+    a_str = _poly_str(field, apart)
+    b_str = _poly_str(field, bpart)
+    if b_str == "0":
+        return a_str
+    piece = "u" if b_str == "1" else f"u*({b_str})"
+    return piece if a_str == "0" else f"{a_str}+{piece}"
+
+
+def _code_text(field, code, gens, index):
+    body = "; ".join(_gen_str(field, g) for g in gens.generators)
+    return f"{cli._code_label(code, index)} <{body}>"
+
+
+def _oracle_line(fmt, index, code, gens):
+    if fmt == "json":
+        return json.dumps(code_to_obj(code, gens), separators=(",", ":"))
+    return _code_text(gens.field, code, gens, index)
+
+
+def _oracle_codes(p, m, s):
+    """Every code, one ``build_code`` call each, in stream order."""
+    field = find_irreducible(p, m)
+    return [
+        build_code(desc, combo, field)
+        for desc in classify_cases(p, s)
+        for combo in itertools.product(field.elements(), repeat=desc.free_param_count)
+    ]
 
 
 def run(capsys, *argv):
@@ -314,18 +368,125 @@ def test_negative_window_is_refused(capsys, argv, flag):
 
 
 def test_codes_are_written_as_they_are_built(capsys, monkeypatch):
-    real = cli.enumerate_codes
+    real = cli._stream_blocks
 
-    def two_then_fail(*args, **kwargs):
+    def two_blocks_then_fail(*args, **kwargs):
         stream = real(*args, **kwargs)
-        yield next(stream)
-        yield next(stream)
+        yield next(stream)  # blocks grow from one code: this is index 0
+        yield next(stream)  # and this indices 1 and 2
         raise ValueError("stream broke")
 
-    monkeypatch.setattr(cli, "enumerate_codes", two_then_fail)
+    monkeypatch.setattr(cli, "_stream_blocks", two_blocks_then_fail)
     status, out, err = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "2")
     assert status == 2 and "stream broke" in err
-    assert [line.split()[0] for line in out.splitlines()] == ["index=0", "index=1"]
+    assert [line.split()[0] for line in out.splitlines()] == ["index=0", "index=1", "index=2"]
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (3, 3, 1)])
+def test_stream_equals_the_per_code_renderer(capsys, p, m, s):
+    codes = _oracle_codes(p, m, s)
+    pms = ("-p", str(p), "-m", str(m), "-s", str(s))
+    for command, flip in (("enumerate", False), ("negacyclic", True)):
+        images = [to_negacyclic(c) if flip else c.generators for c in codes]
+        for fmt in ("text", "json"):
+            status, out, _ = run(capsys, command, *pms, "--format", fmt)
+            want = [_oracle_line(fmt, i, c, g) for i, (c, g) in enumerate(zip(codes, images))]
+            assert status == 0 and out.splitlines() == want
+
+
+@pytest.mark.parametrize("m", [7, 8])  # 2187 and 6561 elements: with and without a string table
+def test_large_field_lines_equal_the_per_code_renderer(capsys, m):
+    field = find_irreducible(3, m)
+    desc = classify_cases(3, 2)[0]
+    combos = itertools.islice(itertools.product(field.elements(), repeat=desc.free_param_count), 2000, 2005)
+    codes = [build_code(desc, combo, field) for combo in combos]
+    for command, flip in (("enumerate", False), ("negacyclic", True)):
+        for fmt in ("text", "json"):
+            argv = ("-p", "3", "-m", str(m), "-s", "2", "--offset", "2000", "--limit", "5", "--format", fmt)
+            _, out, _ = run(capsys, command, *argv)
+            images = [to_negacyclic(c) if flip else c.generators for c in codes]
+            assert out.splitlines() == [_oracle_line(fmt, 2000 + i, c, g) for i, (c, g) in enumerate(zip(codes, images))]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "negacyclic"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_windows_across_block_boundaries(capsys, command, fmt):
+    # (3,1,4) starts with a family of 3^20 codes: blocks of 1, 2, 4, ...
+    # then 256 codes from each window's start
+    pms = ("-p", "3", "-m", "1", "-s", "4")
+    _, full, _ = run(capsys, command, *pms, "--limit", "1200", "--format", fmt)
+    lines = full.splitlines()
+    field = find_irreducible(3, 1)
+    desc = classify_cases(3, 4)[0]
+    params = itertools.islice(itertools.product(field.elements(), repeat=desc.free_param_count), 1200)
+    codes = [build_code(desc, combo, field) for combo in params]
+    images = [to_negacyclic(c) if command == "negacyclic" else c.generators for c in codes]
+    assert lines == [_oracle_line(fmt, i, c, g) for i, (c, g) in enumerate(zip(codes, images))]
+    for start in (1, 2, 3, 254, 255, 256, 257, 510, 511, 512, 767):
+        for limit in (1, 300):
+            _, out, _ = run(capsys, command, *pms, "--offset", str(start), "--limit", str(limit), "--format", fmt)
+            assert out.splitlines() == lines[start : start + limit]
+
+
+def test_zero_parameter_families_and_no_codes(capsys):
+    # (3,1,2): k = 3 and k = 4 have no free parameters
+    codes = _oracle_codes(3, 1, 2)
+    zero = [i for i, c in enumerate(codes) if not c.params]
+    assert len(zero) == 2
+    for i in zero:
+        for fmt in ("text", "json"):
+            _, out, _ = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "2", "--offset", str(i), "--limit", "1", "--format", fmt)
+            assert out == _oracle_line(fmt, i, codes[i], codes[i].generators) + "\n"
+    for command in ("enumerate", "negacyclic"):
+        status, out, _ = run(capsys, command, "-p", "3", "-m", "1", "-s", "2", "--offset", "17", "--format", "json")
+        assert status == 0 and out == "(no codes)\n"
+
+
+def test_huge_offset_json_equals_build(capsys):
+    start = 10**40
+    status, out, _ = run(capsys, "negacyclic", "-p", "3", "-m", "1", "-s", "6", "--offset", str(start), "--limit", "2", "--format", "json")
+    assert status == 0
+    field = find_irreducible(3, 1)
+    desc = classify_cases(3, 6)[0]
+    for line, index in zip(out.splitlines(), (start, start + 1)):
+        digits = []
+        for _ in range(desc.free_param_count):
+            index, d = divmod(index, 3)
+            digits.append((d,))
+        code = build_code(desc, tuple(reversed(digits)), field)
+        assert line == _oracle_line("json", 0, code, to_negacyclic(code))
+
+
+# sha256 of the output of the per-code renderer (commit 974f329)
+RENDER_DIGESTS = {
+    ("enumerate", "-p", "5", "-m", "3", "-s", "2", "--sample", "10", "--seed", "7"):
+        "4ac188d741c0a10c27fbb0daa52da84c43ec92ff1ddba35936cdab7dc8fe610f",
+    ("enumerate", "-p", "5", "-m", "3", "-s", "2", "--sample", "10", "--seed", "7", "--format", "json"):
+        "da01330be229c4509c0783d74f43a69175421ae675d59edb7f33fe654ea53c4c",
+    ("enumerate", "-p", "3", "-m", "1", "-s", "6", "--sample", "20", "--seed", "3"):
+        "9f119135ad455dd17facdc897d7ca86a8fef3dd6a76c0eb919db71f6c1b8d609",
+    ("enumerate", "-p", "3", "-m", "1", "-s", "4", "--sample", "50", "--seed", "11", "--format", "json"):
+        "c564142dbf2f02b382b6369e44f610de31686b16c99551afd03b0b98a4c1d344",
+    ("build", "-p", "3", "-m", "3", "-s", "2", "--k", "0", "--params", "1:2:0,0:0:1"):
+        "e4fbe278f9c0665dcf566531965619b6be843ade92939b226dffe3f0fda0795c",
+    ("build", "-p", "3", "-m", "3", "-s", "2", "--k", "0", "--params", "1:2:0,0:0:1", "--format", "json"):
+        "e8b4d6f6559cb318ad30f8ac19c8b3944a2c550a523b7ce51bd719ff86228028",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RENDER_DIGESTS))
+def test_build_and_sample_output_is_unchanged(capsys, argv):
+    status, out, _ = run(capsys, *argv)
+    assert status == 0 and hashlib.sha256(out.encode()).hexdigest() == RENDER_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("p,m,s,seed", [(3, 1, 4, 11), (5, 3, 2, 7), (3, 2, 3, 2)])
+def test_sample_equals_the_per_code_renderer(capsys, p, m, s, seed):
+    codes = list(sample_codes(p, m, s, 30, seed=seed))
+    for fmt in ("text", "json"):
+        argv = ("-p", str(p), "-m", str(m), "-s", str(s), "--sample", "30", "--seed", str(seed), "--format", fmt)
+        _, out, _ = run(capsys, "enumerate", *argv)
+        assert out.splitlines() == [_oracle_line(fmt, i, c, c.generators) for i, c in enumerate(codes)]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -401,6 +562,8 @@ def test_matrix_text_equals_per_entry_formatter(p):
     shapes.append(MatrixFp(p, [[0, p - 1], [p - 1, 0]]))
     for mat in shapes:
         assert cli._matrix_text(mat) == _matrix_text_per_entry(mat)
+        obj = {"p": p, "rows": mat.rows, "cols": mat.cols, "entries": mat.data.tolist()}
+        assert cli._matrix_json(mat) == json.dumps(obj, separators=(",", ":"))
 
 
 def test_gmatrix_text_equals_per_entry_formatter(capsys):
@@ -412,6 +575,17 @@ def test_gmatrix_text_equals_per_entry_formatter(capsys):
         p = str(mat.p)
         status, out, _ = run(capsys, "gmatrix", "-p", p, *argv)
         assert status == 0 and out == _matrix_text_per_entry(mat) + "\n"
+
+
+def test_gmatrix_json_equals_entry_list(capsys):
+    for p, argv, mat in [
+        ("1019", ("--lambda", "1"), build_g_kron(1019, 1)),
+        ("5", ("--lambda", "4", "--minus-i"), build_g_kron(5, 4) - MatrixFp.identity(5, 625)),
+        ("3", ("--lambda", "0"), MatrixFp(3, [[1]])),
+    ]:
+        status, out, _ = run(capsys, "gmatrix", "-p", p, *argv, "--format", "json")
+        obj = {"p": mat.p, "rows": mat.rows, "cols": mat.cols, "entries": mat.data.tolist()}
+        assert status == 0 and out == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def test_gmatrix_lambda_and_l_are_exclusive(capsys):
@@ -512,3 +686,29 @@ def test_large_fields_stream_at_once(capsys, argv):
     status, out, _ = run(capsys, *argv)
     assert time.perf_counter() - start < 5
     assert status == 0 and len(out.splitlines()) == 1
+
+
+# -- large primes are decided at once
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-p", "1000000000000000003", "-m", "1", "-s", "1"),
+        ("enumerate", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--limit", "1"),
+        ("negacyclic", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--limit", "1"),
+        ("verify", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--limit", "1"),
+        ("build", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--k", "0"),
+        ("enumerate", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--sample", "1"),
+        ("count", "-p", "3317044064679887385961983", "-m", "1", "-s", "1"),
+    ],
+)
+def test_large_primes_are_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    status, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert status == 2 and out == "" and err.startswith("error: ")
+
+
+def test_gmatrix_of_a_large_prime(capsys):
+    status, out, _ = run(capsys, "gmatrix", "-p", "1000000000000000003", "--lambda", "0")
+    assert status == 0 and out.strip() == "1"

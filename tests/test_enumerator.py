@@ -20,7 +20,17 @@ from sdcyclic import (
     solution_basis,
     to_negacyclic,
 )
-from sdcyclic.enumerator import CASE_EVEN_K, CASE_K0, CASE_ODD_K, _family_plan, _param_tuples
+from sdcyclic.enumerator import (
+    BLOCK_CODES,
+    BLOCK_ENTRIES,
+    CASE_EVEN_K,
+    CASE_K0,
+    CASE_ODD_K,
+    _decode_block,
+    _family_blocks,
+    _family_plan,
+    _stream_blocks,
+)
 from sdcyclic.reciprocal import XM1_TO_STD
 
 
@@ -329,15 +339,61 @@ SMALL_FIELDS = [(p, m) for p in (3, 5, 7, 11) for m in (1, 2, 3, 4) if p**m <= 1
 ]
 
 
+def _decoded(field, width, start, count):
+    """The parameter tuples the block decoder gives for a window."""
+    return [tuple(map(tuple, row)) for row in _decode_block(field, width, start, count).tolist()]
+
+
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
 def test_parameter_odometer_follows_field_order(p, m):
     field = find_irreducible(p, m)
     elems = list(field.elements())
-    assert list(_param_tuples(field, 1, 0)) == [(e,) for e in elems]
+    assert _decoded(field, 1, 0, len(elems)) == [(e,) for e in elems]
     if p**m <= 25:
         pairs = list(itertools.product(elems, repeat=2))
         for start in (0, 1, len(elems) - 1, len(elems), len(pairs) - 1):
-            assert list(_param_tuples(field, 2, start)) == pairs[start:]
+            assert _decoded(field, 2, start, len(pairs) - start) == pairs[start:]
+
+
+def _base_q_params(field, width, index):
+    """The parameters of one in-family index, by Python integer division."""
+    digits = []
+    for _ in range(width):
+        index, d = divmod(index, field.order)
+        coeffs = []
+        for _ in range(field.m):
+            d, c = divmod(d, field.p)
+            coeffs.append(c)
+        digits.append(tuple(reversed(coeffs)))
+    return tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("p,m,width", [(3, 1, 182), (3, 2, 40), (5, 1, 90), (2039, 1, 20)])
+def test_block_decoder_is_exact_at_huge_indices(p, m, width):
+    field = find_irreducible(p, m)
+    top = field.order**width
+    for start in (min(10**40, top) - 3, top // 2 - 300, top - 300, field.order**7 - 5):
+        count = min(300, top - start)
+        got = _decoded(field, width, start, count)
+        assert got == [_base_q_params(field, width, start + i) for i in range(count)]
+
+
+def test_blocks_stay_within_the_cap():
+    sizes = [len(b.params) for b in _stream_blocks(3, 1, 3)]
+    assert sum(sizes) == count_self_dual(3, 1, 3)
+    assert max(sizes) == BLOCK_CODES  # reached, never passed
+    field = find_irreducible(3, 3)
+    desc = classify_cases(3, 6)[0]  # N = 729, m = 3: 119 codes per block
+    blocks = itertools.islice(_family_blocks([desc], field, 0), 9)
+    sizes = [len(b.params) for b in blocks]
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 119, 119]
+    assert BLOCK_ENTRIES // (729 * 3) == 119
+
+
+def test_blocks_start_small():
+    # the first block holds one code, so the first line needs one product
+    first = next(_stream_blocks(3, 1, 4, start=5))
+    assert first.params.shape == (1, classify_cases(3, 4)[0].free_param_count, 1)
 
 
 def test_enumerate_rejects_negative_start():
@@ -416,6 +472,43 @@ def test_negacyclic_images_self_dual_and_counted(p, m, s):
     assert total == len(forms) == count_self_dual(p, m, s)
 
 
+def _to_negacyclic_per_element(code):
+    """The flip ``to_negacyclic`` made before the sign mask: one
+    ``field.neg`` per odd-degree coefficient."""
+    field = code.generators.field
+    flipped = tuple(
+        tuple((a, b) if d % 2 == 0 else (field.neg(a), field.neg(b)) for d, (a, b) in enumerate(g))
+        for g in code.generators.generators
+    )
+    return RIdealGens(field=field, ring_sign=-1, generators=flipped)
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (3, 3, 1), (5, 2, 1)])
+def test_sign_mask_equals_per_element_flip(p, m, s):
+    codes = enumerate_codes(p, m, s)
+    for code in itertools.islice(codes, 3000):
+        assert to_negacyclic(code) == _to_negacyclic_per_element(code)
+
+
+def test_negacyclic_blocks_are_flipped_codes():
+    field = find_irreducible(3, 2)
+    cyclic = list(enumerate_codes(3, 2, 2))
+    rows = [
+        (block.desc, a, block.u, block.second)
+        for block in _stream_blocks(3, 2, 2, ring_sign=-1)
+        for a in block.a
+    ]
+    assert len(rows) == len(cyclic)
+    for code, (desc, a, u, second) in zip(cyclic, rows):
+        gens = to_negacyclic(code).generators
+        assert desc == code.descriptor
+        assert gens[0] == tuple(zip(map(tuple, a.tolist()), map(tuple, u.tolist())))
+        if second is None:
+            assert len(gens) == 1
+        else:
+            assert gens[1] == tuple((tuple(c), field.zero()) for c in second.tolist())
+
+
 # -- sampling ---------------------------------------------------------------------
 
 def test_sampling_reproducible_and_sound():
@@ -426,6 +519,30 @@ def test_sampling_reproducible_and_sound():
     assert first != other_seed
     for code in sample_codes(3, 1, 2, 5, seed=7):
         assert is_self_dual(code.generators, 2)
+
+
+def test_zero_parameter_families(f3):
+    for desc in classify_cases(3, 2):
+        if desc.free_param_count == 0:
+            (code,) = descriptor_codes(desc, f3)
+            assert code == build_code(desc, (), f3) == _build_code_per_code(desc, (), f3)
+            assert code.params == ()
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 3), (3, 2, 2)])
+def test_stream_crosses_block_boundaries(p, m, s):
+    # every code of the stream, from each start, against the per-code
+    # construction; starts chosen so windows begin on and next to block
+    # and family boundaries
+    field = find_irreducible(p, m)
+    oracle = [
+        _build_code_per_code(desc, combo, field)
+        for desc in classify_cases(p, s)
+        for combo in itertools.product(field.elements(), repeat=desc.free_param_count)
+    ]
+    for start in (0, 1, 2, 3, 6, 7, 8, 254, 255, 256, 510, 511, 512, len(oracle) - 1):
+        got = list(itertools.islice(enumerate_codes(p, m, s, start=start), 700))
+        assert got == oracle[start : start + 700]
 
 
 def test_descriptor_codes_streams_in_order(f3):

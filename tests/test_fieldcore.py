@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sdcyclic import FieldSpec, find_irreducible, is_prime
+from sdcyclic.fieldcore import MILLER_RABIN_BOUND
 
 
 def test_find_irreducible_goldens():
@@ -115,3 +116,46 @@ def test_f27_frobenius_fixed_field():
 
 def test_is_prime():
     assert [n for n in range(25) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+def _is_prime_by_trial_division(n):
+    """The trial division ``is_prime`` used before Miller-Rabin, kept as
+    its oracle."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _is_prime_by_trial_division(n) for n in range(200_000))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2 ... 23
+        318665857834031151167461,  # psi_12: strong pseudoprime to bases 2 ... 37
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_of_large_primes():
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError, match="primality"):
+        FieldSpec(MILLER_RABIN_BOUND + 2, 1, [0, 1])
