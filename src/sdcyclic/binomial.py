@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .fieldcore import is_prime
 
 
-@lru_cache(maxsize=None)
+# A command uses one prime, and the table is 8 MB at p = 1021.
+@lru_cache(maxsize=2)
 def _pascal_table(p: int) -> np.ndarray:
     """C(n, k) mod p for all 0 <= n, k < p, zero above the diagonal;
     read-only int64, filled one row at a time."""

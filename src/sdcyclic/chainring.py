@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .fieldcore import FieldSpec, FqElem
 
 RElem = Tuple[FqElem, FqElem]
@@ -100,7 +99,7 @@ class RIdealGens:
 # Vectorized field kernels.  Arrays of field elements have the coefficient
 # axis last: shape (..., m) of int64 residues.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _reduction_rows(field: FieldSpec) -> np.ndarray:
     """(2m-1, m) matrix expressing x^d mod the field modulus, d < 2m-1."""
     m = field.m

@@ -27,8 +27,7 @@ import operator
 import sys
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .chainring import RIdealGens, _self_dual_failure, is_self_dual
 from .enumerator import (
     CodeSpec,
@@ -36,6 +35,7 @@ from .enumerator import (
     _Block,
     _checked_params,
     _code_families,
+    _code_field,
     _count_digits,
     _sample_draws,
     _stream_blocks,
@@ -46,7 +46,7 @@ from .enumerator import (
     enumerate_codes,
     to_negacyclic,
 )
-from .fieldcore import FieldSpec, FqElem, find_irreducible
+from .fieldcore import FieldSpec, FqElem
 from .gmatrix import MatrixFp, build_g_kron, column_index_range, g_truncated, solution_column
 from .reciprocal import XM1_TO_STD, basis_convert
 
@@ -202,19 +202,40 @@ def _matrix_grid(mat: MatrixFp, sep: str, row_end: str) -> np.ndarray:
     return grid
 
 
+# gmatrix renders and writes this many rows at a time, so the text of a
+# large matrix is never held whole next to the matrix.
+MATRIX_BLOCK_ROWS = 64
+
+
+def _matrix_chunks(mat: MatrixFp, fmt: str) -> Iterator[str]:
+    """The text or json form of ``mat``, one piece per block of
+    ``MATRIX_BLOCK_ROWS`` rows, each rendered only when it is asked for.
+    Text is rows of right-aligned entries, all of the width of p - 1;
+    json is the text grid with ',' between cells, each row in brackets
+    and the padding removed."""
+    if fmt == "json":
+        yield f'{{"p":{mat.p},"rows":{mat.rows},"cols":{mat.cols},"entries":['
+    for start in range(0, mat.rows, MATRIX_BLOCK_ROWS):
+        part = MatrixFp._view(mat.p, mat.data[start : start + MATRIX_BLOCK_ROWS])
+        if fmt == "json":
+            grid = _matrix_grid(part, ",", "]").reshape(part.rows, -1)
+            edge = np.full((part.rows, 1), ord("["), dtype=np.uint8)
+            rows = np.concatenate([edge, grid, np.full_like(edge, ord(","))], axis=1)
+            body = rows.tobytes().replace(b" ", b"")
+        else:
+            body = _matrix_grid(part, " ", "\n").tobytes()
+        # the last row ends the list (json) or the output (text)
+        yield (body if start + MATRIX_BLOCK_ROWS < mat.rows else body[:-1]).decode("ascii")
+    if fmt == "json":
+        yield "]}"
+
+
 def _matrix_text(mat: MatrixFp) -> str:
-    """Rows of right-aligned entries, all of the width of p - 1."""
-    return _matrix_grid(mat, " ", "\n").tobytes()[:-1].decode("ascii")
+    return "".join(_matrix_chunks(mat, "text"))
 
 
 def _matrix_json(mat: MatrixFp) -> str:
-    """The entries as a compact json list of rows: the text grid with
-    ',' between cells, each row in brackets, the padding removed."""
-    grid = _matrix_grid(mat, ",", "]").reshape(mat.rows, -1)
-    edge = np.full((mat.rows, 1), ord("["), dtype=np.uint8)
-    rows = np.concatenate([edge, grid, np.full_like(edge, ord(","))], axis=1)
-    body = rows.tobytes()[:-1].replace(b" ", b"").decode("ascii")
-    return f'{{"p":{mat.p},"rows":{mat.rows},"cols":{mat.cols},"entries":[{body}]}}'
+    return "".join(_matrix_chunks(mat, "json"))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +284,7 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     checked against the reconstruction.  Returns the cyclic code and the
     generators in the stored ring (cyclic or negacyclic)."""
     p, m, s = obj["p"], obj["m"], obj["s"]
-    field = find_irreducible(p, m)
+    field = _code_field(p, m, s)
     match = [
         d
         for d in _code_families(p, s)
@@ -295,8 +316,15 @@ def _open_out(out: str | None):
 
 
 def _emit(text: str, out: str | None) -> None:
+    _emit_pieces((text,), out)
+
+
+def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
+    """Writes each piece as it comes, then a newline."""
     with _open_out(out) as fh:
-        fh.write(text + "\n")
+        for piece in pieces:
+            fh.write(piece)
+        fh.write("\n")
 
 
 def _cmd_gmatrix(args) -> int:
@@ -335,10 +363,7 @@ def _cmd_gmatrix(args) -> int:
         mat = mat + MatrixFp.identity(p, mat.rows)
     elif args.minus_i:
         mat = mat - MatrixFp.identity(p, mat.rows)
-    if args.format == "json":
-        _emit(_matrix_json(mat), args.out)
-    else:
-        _emit(_matrix_text(mat), args.out)
+    _emit_pieces(_matrix_chunks(mat, args.format), args.out)
     return 0
 
 
@@ -439,7 +464,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("--sample cannot be combined with --offset/--limit")
 
     def blocks() -> Iterator[_Block]:
-        field = find_irreducible(args.p, args.m)
+        field = _code_field(args.p, args.m, args.s)
         for desc, params in _sample_draws(args.p, args.m, args.s, args.sample, args.seed):
             yield _block(desc, field, _checked_params(desc, params, field))
 
@@ -451,7 +476,7 @@ def _cmd_negacyclic(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    field = find_irreducible(args.p, args.m)
+    field = _code_field(args.p, args.m, args.s)
     match = [d for d in _code_families(args.p, args.s) if d.k == args.k]
     if not match:
         raise ValueError(f"no case has k={args.k} for p={args.p}, s={args.s}")

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .chainring import RIdealGens, RVector
 from .fieldcore import FieldSpec, FqElem, find_irreducible, is_prime
 from .gmatrix import DEFAULT_SIZE_CAP, _checked_order, column_index_range
@@ -103,6 +102,16 @@ def _code_families(p: int, s: int) -> list[CaseDescriptor]:
     _validate_ps(p, s)
     _checked_order(p, s, DEFAULT_SIZE_CAP)
     return classify_cases(p, s)
+
+
+def _code_field(p: int, m: int, s: int) -> FieldSpec:
+    """``find_irreducible(p, m)`` for building codes of length p^s.  The
+    length is checked against the size cap first: at a large prime the
+    modulus search can scan about p candidates (at 4 | m and p = 3 mod 4
+    no x^m + c is irreducible)."""
+    _validate_ps(p, s)
+    _checked_order(p, s, DEFAULT_SIZE_CAP)
+    return find_irreducible(p, m)
 
 
 @dataclass(frozen=True)
@@ -328,7 +337,7 @@ def _stream_blocks(
     """The blocks of ``enumerate_codes(p, m, s, field, start)``, in the
     ring x^N - ring_sign."""
     if field is None:
-        field = find_irreducible(p, m)
+        field = _code_field(p, m, s)
     elif (field.p, field.m) != (p, m):
         raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
     if start < 0:
@@ -446,6 +455,6 @@ def sample_codes(p: int, m: int, s: int, count: int, seed: int = 0) -> Iterator[
     """``count`` codes drawn uniformly at random from the full family,
     reproducibly from ``seed``.  A CLI convenience: family weights are
     exact big integers, so the draw is uniform even for huge families."""
-    field = find_irreducible(p, m)
+    field = _code_field(p, m, s)
     for desc, params in _sample_draws(p, m, s, count, seed):
         yield build_code(desc, params, field)

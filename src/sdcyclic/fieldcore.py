@@ -14,6 +14,7 @@ they can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Tuple
 
 FqElem = Tuple[int, ...]
@@ -77,9 +78,8 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+            out[i : i + len(b)] = [u + x * y for u, y in zip(out[i:], b)]
+    return _trim([c % p for c in out])
 
 
 def _prem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -92,8 +92,7 @@ def _prem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     while len(r) - 1 >= db:
         c = r[-1]
         off = len(r) - 1 - db
-        for t in range(db + 1):
-            r[off + t] = (r[off + t] - c * b[t]) % p
+        r[off:] = [(u - c * v) % p for u, v in zip(r[off:], b)]
         _trim(r)  # leading term is now zero, so this strictly shrinks r
     return r
 
@@ -117,41 +116,22 @@ def _ppowmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
     return result
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's deterministic irreducibility test for monic f over F_p."""
+# find_irreducible's choice is tested again by FieldSpec: a hit here.
+@lru_cache(maxsize=4)
+def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
+    """Ben-Or's irreducibility test for monic f of degree m over F_p:
+    f is irreducible iff gcd(x^(p^i) - x, f) is constant for every
+    i <= m/2.  A reducible f has an irreducible factor of some degree
+    i <= m/2, and the test stops at the first such i, so most candidates
+    of a search are rejected after a few powerings."""
     m = len(f) - 1
     if m < 1:
         return False
-    if m == 1:
-        return True
     x = [0, 1]
-    # x^(p^m) must reduce to x mod f
     h = x
-    for _ in range(m):
-        h = _ppowmod(h, p, f, p)
-    if _psub(h, x, p):
-        return False
-    # gcd(x^(p^(m/q)) - x, f) must be constant for every prime q | m
-    for q in _prime_divisors(m):
-        h = x
-        for _ in range(m // q):
-            h = _ppowmod(h, p, f, p)
-        g = _pgcd(_psub(h, x, p), f, p)
-        if len(g) - 1 != 0:
+    for _ in range(m // 2):
+        h = _ppowmod(h, p, f, p)  # x^(p^i) mod f
+        if len(_pgcd(_psub(h, x, p), f, p)) > 1:
             return False
     return True
 
@@ -295,8 +275,14 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
 
+# The modulus search is refused above this degree.  Its cost grows about
+# as m^3 log p: at p = 2039 and m = 100 it takes about 10 s.
+MAX_EXTENSION_DEGREE = 100
+
+
 def find_irreducible(p: int, m: int) -> FieldSpec:
-    """FieldSpec with the smallest monic irreducible modulus of degree m.
+    """FieldSpec with the smallest monic irreducible modulus of degree m,
+    for 1 <= m <= MAX_EXTENSION_DEGREE.
 
     Candidates x^m + c_{m-1} x^{m-1} + ... + c_0 are scanned in increasing
     order of the integer value sum(c_i * p^i) of the non-leading
@@ -306,6 +292,11 @@ def find_irreducible(p: int, m: int) -> FieldSpec:
         raise ValueError(f"p must be an odd prime, got {p}")
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
+    if m > MAX_EXTENSION_DEGREE:
+        raise ValueError(
+            f"extension degree {m} is above MAX_EXTENSION_DEGREE = {MAX_EXTENSION_DEGREE}, "
+            "the largest m for which a modulus is searched"
+        )
     for value in range(p**m):
         coeffs = []
         v = value
@@ -313,6 +304,6 @@ def find_irreducible(p: int, m: int) -> FieldSpec:
             coeffs.append(v % p)
             v //= p
         coeffs.append(1)
-        if _is_irreducible(coeffs, p):
+        if _is_irreducible(tuple(coeffs), p):
             return FieldSpec(p, m, coeffs)
     raise AssertionError("unreachable: an irreducible polynomial of every degree exists")

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .binomial import _binom_grid
 from .fieldcore import is_prime
 
@@ -160,7 +159,9 @@ def min_level(p: int, l: int) -> int:
     return lam
 
 
-@lru_cache(maxsize=None)
+# Every level one length under the size cap uses (3^6 <= 2048 < 3^7), so
+# a stream never builds a level twice.
+@lru_cache(maxsize=6)
 def _g_full(p: int, lam: int, cap: int) -> MatrixFp:
     """The full order-p^lam matrix, built once per level."""
     if lam >= 2:
@@ -168,7 +169,9 @@ def _g_full(p: int, lam: int, cap: int) -> MatrixFp:
     return build_g_direct(p, lam, cap=cap)
 
 
-@lru_cache(maxsize=None)
+# Each entry is a view that keeps its full matrix alive, so this cache is
+# bounded too: bounding ``_g_full`` alone would free nothing.
+@lru_cache(maxsize=6)
 def g_truncated(p: int, l: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
     """G_l: the l x l truncation of the minimal covering reciprocal matrix
     (lam recomputed as the least level with l <= p^lam).  Cached; every

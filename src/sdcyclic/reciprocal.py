@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .binomial import _binom_grid
 from .fieldcore import FieldSpec, FqElem
 from .gmatrix import (
@@ -75,7 +74,9 @@ def _from_array(arr: np.ndarray) -> tuple[FqElem, ...]:
     return tuple(map(tuple, arr.tolist()))
 
 
-@lru_cache(maxsize=None)
+# N x N each (32 MB at N = 2048); a command uses one length, in one or
+# both directions.
+@lru_cache(maxsize=2)
 def _conv_matrix(p: int, size: int, direction: str) -> np.ndarray:
     """Change-of-basis matrix between the (x-1)-adic and standard
     monomial coordinates, acting on coefficient columns."""

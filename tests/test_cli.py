@@ -1,8 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from sdcyclic import (
 )
 from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
 from sdcyclic.enumerator import _count_digits
+from sdcyclic.fieldcore import MAX_EXTENSION_DEGREE
 
 
 # -- the per-code renderer the row renderer replaced, kept as its oracle
@@ -699,6 +703,11 @@ def test_large_fields_stream_at_once(capsys, argv):
         ("verify", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--limit", "1"),
         ("build", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--k", "0"),
         ("enumerate", "-p", "1000000000000000003", "-m", "1", "-s", "1", "--sample", "1"),
+        # no x^4 + c is irreducible at p = 3 mod 4: the modulus search
+        # would scan about p candidates, so the size cap is checked first
+        ("enumerate", "-p", "1000000000000000003", "-m", "4", "-s", "1", "--limit", "1"),
+        ("build", "-p", "1000000000000000003", "-m", "4", "-s", "1", "--k", "0"),
+        ("enumerate", "-p", "1000000000000000003", "-m", "4", "-s", "1", "--sample", "1"),
         ("count", "-p", "3317044064679887385961983", "-m", "1", "-s", "1"),
     ],
 )
@@ -712,3 +721,120 @@ def test_large_primes_are_refused_at_once(capsys, argv):
 def test_gmatrix_of_a_large_prime(capsys):
     status, out, _ = run(capsys, "gmatrix", "-p", "1000000000000000003", "--lambda", "0")
     assert status == 0 and out.strip() == "1"
+
+
+# -- numpy on first use: count and every refusal run without it
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+_NUMPY_FREE = [
+    ["count", "-p", "3", "-m", "1", "-s", "8"],
+    ["count", "-p", "3", "-m", "1", "-s", "8", "--format", "json"],
+    ["count", "-p", "3", "-m", "1", "-s", "8", "--format", "csv"],
+    ["count", "-p", "1000000000000000003", "-m", "1", "-s", "1"],
+    ["count", "-p", "3", "-m", "1", "-s", "10", "--format", "csv"],
+    ["count", "-p", "9", "-m", "1", "-s", "2"],
+    ["enumerate", "-p", "3", "-m", "1", "-s", "7", "--limit", "1"],
+    ["verify", "-p", "3", "-m", "1", "-s", "7", "--limit", "1"],
+    ["build", "-p", "3", "-m", "1", "-s", "7", "--k", "0"],
+    ["enumerate", "-p", "3", "-m", str(MAX_EXTENSION_DEGREE + 1), "-s", "1", "--limit", "1"],
+    ["enumerate", "-p", "1000000000000000003", "-m", "4", "-s", "1", "--limit", "1"],
+]
+
+
+def _in_a_child(script, *args):
+    """Runs ``script`` in a fresh interpreter that imports sdcyclic from
+    this checkout; returns its stdout as json."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return json.loads(run.stdout)
+
+
+def test_count_and_refusals_leave_numpy_unloaded():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from sdcyclic.cli import dispatch\n"
+        "statuses = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        statuses.append(dispatch(argv))\n"
+        "print(json.dumps([statuses, sorted(n for n in sys.modules if n.startswith('numpy.'))]))\n"
+    )
+    statuses, loaded = _in_a_child(script, json.dumps(_NUMPY_FREE))
+    assert statuses == [0, 0, 0] + [2] * (len(_NUMPY_FREE) - 3)
+    assert loaded == []
+
+
+def test_importing_the_package_loads_every_module_but_not_numpy():
+    script = (
+        "import json, sys\n"
+        "import sdcyclic\n"
+        "library = sorted(n for n in sys.modules if n.startswith('sdcyclic.'))\n"
+        "import sdcyclic.cli\n"
+        "every = sorted(n for n in sys.modules if n.startswith('sdcyclic.'))\n"
+        "print(json.dumps([library, every, sorted(n for n in sys.modules if n.startswith('numpy.'))]))\n"
+    )
+    library, every, loaded = _in_a_child(script)
+    names = ["binomial", "chainring", "enumerator", "fieldcore", "gmatrix", "reciprocal"]
+    assert library == sorted(["sdcyclic._numpy"] + [f"sdcyclic.{n}" for n in names])
+    assert every == sorted(library + ["sdcyclic.cli"]) and loaded == []
+
+
+def test_numpy_loads_on_first_use_once_across_threads():
+    """Threads that read ``np`` at the same time all wait for one import;
+    afterwards ``np`` is a plain module holding numpy's attributes."""
+    script = (
+        "import json, sys, threading, types\n"
+        "from sdcyclic._numpy import np\n"
+        "before = 'numpy' in sys.modules\n"
+        "barrier, errors = threading.Barrier(8), []\n"
+        "def work():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        assert int(np.arange(5).sum()) == 10\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(30)\n"
+        "alive = any(t.is_alive() for t in threads)\n"
+        "same = np.ndarray is sys.modules['numpy'].ndarray and type(np) is types.ModuleType\n"
+        "print(json.dumps([before, errors, alive, same]))\n"
+    )
+    assert _in_a_child(script) == [False, [], False, True]
+
+
+# sha256 of `gmatrix -p 131 --l L --format F` as printed by the one-grid
+# writer (commit b76343b), before matrices were written in row blocks
+_GMATRIX_DIGESTS = {
+    (1, "text"): "3e095d907042dd4a1ef58c286490b3f3ff0067ee2e25322fdb69a8b142b42143",
+    (1, "json"): "0b3be69a48ffd63f56a6a23d472d0bbd417f44d3b409a6afd317c66bdb4ae978",
+    (63, "text"): "1dbd55e07be23e5155cb57e42517e01abff681dba974514cb56c76103127f773",
+    (63, "json"): "70566d5b19a27254622427aa3471ae9a6fdac7e071d8f6511781c3d77468f318",
+    (64, "text"): "51db45f71a0d01f9c8bd116874c2cc37859c92245f6f03262b589a3e1aa1a063",
+    (64, "json"): "aa3c5386b90e3099b4aceb53472b83e87f1d6eb8e247c360795d6c10e8a1a41b",
+    (65, "text"): "ae30e3a86f2e4a506a439d5cf8ff15d0545c463f56608c6f248c5e08e4199341",
+    (65, "json"): "88197b52e044c548f18e682c2cf87c14b37dfa73294582d6f147a6b04243cf0b",
+    (129, "text"): "6058283937f6730401ed48a395a43adef840d648c489a47f1849c16c424ff442",
+    (129, "json"): "23148e8a4ac20425cc3dff7c93d5fb0f98196fe8ce0ae9d4cfe2e71e57c41ca2",
+}
+
+
+@pytest.mark.parametrize("rows,fmt", sorted(_GMATRIX_DIGESTS))
+def test_row_blocks_equal_the_one_grid_output(tmp_path, capsys, rows, fmt):
+    assert cli.MATRIX_BLOCK_ROWS == 64
+    status, out, _ = run(capsys, "gmatrix", "-p", "131", "--l", str(rows), "--format", fmt)
+    assert status == 0 and hashlib.sha256(out.encode()).hexdigest() == _GMATRIX_DIGESTS[rows, fmt]
+    path = tmp_path / "g.txt"
+    status, printed, _ = run(capsys, "gmatrix", "-p", "131", "--l", str(rows), "--format", fmt, "--out", str(path))
+    assert status == 0 and printed == "" and path.read_bytes() == out.encode()
+    mat = g_truncated(131, rows)
+    pieces = list(cli._matrix_chunks(mat, fmt))
+    assert len(pieces) == -(-rows // 64) + (2 if fmt == "json" else 0)
+    if fmt == "text":
+        assert "".join(pieces) == _matrix_text_per_entry(mat)
+    else:
+        obj = {"p": 131, "rows": rows, "cols": rows, "entries": mat.data.tolist()}
+        assert "".join(pieces) == json.dumps(obj, separators=(",", ":"))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -15,7 +16,9 @@ from sdcyclic import (
     descriptor_count,
     enumerate_codes,
     find_irreducible,
+    g_truncated,
     is_self_dual,
+    min_level,
     sample_codes,
     solution_basis,
     to_negacyclic,
@@ -31,6 +34,7 @@ from sdcyclic.enumerator import (
     _family_plan,
     _stream_blocks,
 )
+from sdcyclic.gmatrix import _g_full
 from sdcyclic.reciprocal import XM1_TO_STD
 
 
@@ -549,3 +553,44 @@ def test_descriptor_codes_streams_in_order(f3):
     desc = [d for d in classify_cases(3, 2) if d.k == 2][0]
     params = [c.params for c in descriptor_codes(desc, f3)]
     assert params == [((0,),), ((1,),), ((2,),)]
+
+
+# -- array caches stay bounded
+
+def _array_caches():
+    """Every ``lru_cache`` of the package, by qualified name."""
+    out = {}
+    for name in ("fieldcore", "binomial", "gmatrix", "reciprocal", "enumerator", "chainring", "cli"):
+        module = importlib.import_module(f"sdcyclic.{name}")
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
+                out[f"{name}.{attr}"] = value
+    arrays = {"binomial._pascal_table", "gmatrix._g_full", "gmatrix.g_truncated", "reciprocal._conv_matrix"}
+    assert arrays | {"chainring._reduction_rows"} <= set(out)
+    return out
+
+
+def test_every_cache_is_bounded_after_a_sweep_of_lengths():
+    caches = _array_caches()
+    assert all(fn.cache_info().maxsize is not None for fn in caches.values())
+    for p, s in [(3, 5), (5, 3), (7, 3), (11, 2), (13, 2), (3, 6), (5, 4)]:
+        field = find_irreducible(p, 1)
+        desc = classify_cases(p, s)[0]
+        build_code(desc, [field.zero()] * desc.free_param_count, field)
+        assert is_self_dual(to_negacyclic(build_code(desc, [field.one()] * desc.free_param_count, field)), s)
+    for name, fn in caches.items():
+        info = fn.cache_info()
+        assert info.currsize <= info.maxsize, name
+
+
+def test_a_stream_builds_each_level_once():
+    """A stream visits every family, each with its own l; the full
+    matrix of each level is built once however many truncations read it."""
+    _g_full.cache_clear()
+    g_truncated.cache_clear()
+    for p, s in [(3, 6), (5, 4), (7, 3)]:
+        before = _g_full.cache_info().misses
+        ls = [d.l for d in classify_cases(p, s) if d.l > 0]
+        for l in ls:
+            g_truncated(p, l)
+        assert _g_full.cache_info().misses - before == len({min_level(p, l) for l in ls}) == s

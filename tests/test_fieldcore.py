@@ -1,9 +1,17 @@
 import random
+import time
 
 import pytest
 
 from sdcyclic import FieldSpec, find_irreducible, is_prime
-from sdcyclic.fieldcore import MILLER_RABIN_BOUND
+from sdcyclic.fieldcore import (
+    MAX_EXTENSION_DEGREE,
+    MILLER_RABIN_BOUND,
+    _is_irreducible,
+    _pgcd,
+    _ppowmod,
+    _psub,
+)
 
 
 def test_find_irreducible_goldens():
@@ -159,3 +167,85 @@ def test_is_prime_refuses_beyond_its_bound():
         is_prime(MILLER_RABIN_BOUND)
     with pytest.raises(ValueError, match="primality"):
         FieldSpec(MILLER_RABIN_BOUND + 2, 1, [0, 1])
+
+
+# -- the modulus search: Ben-Or's test against Rabin's
+
+def _prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _is_irreducible_rabin(f, p):
+    """Rabin's test, which ``fieldcore._is_irreducible`` replaced, kept as
+    its oracle: x^(p^m) = x mod f, and gcd(x^(p^(m/q)) - x, f) = 1 for
+    every prime q | m."""
+    m = len(f) - 1
+    if m == 1:
+        return True
+    x = [0, 1]
+    h = x
+    for _ in range(m):
+        h = _ppowmod(h, p, f, p)
+    if _psub(h, x, p):
+        return False
+    for q in _prime_divisors(m):
+        h = x
+        for _ in range(m // q):
+            h = _ppowmod(h, p, f, p)
+        if len(_pgcd(_psub(h, x, p), f, p)) > 1:
+            return False
+    return True
+
+
+def _monic(value, p, m):
+    return tuple((value // p**i) % p for i in range(m)) + (1,)
+
+
+def _irreducible_count(p, m):
+    """Gauss's count of monic irreducibles of degree m: the sum over
+    d | m of mu(d) p^(m/d), over m."""
+    def mu(n):
+        primes = _prime_divisors(n)
+        square_free = all(n % (q * q) for q in primes)
+        return (-1) ** len(primes) if square_free else 0
+
+    return sum(mu(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (3, 6), (3, 7), (5, 3), (5, 4), (7, 3), (7, 4), (11, 2), (11, 3)])
+def test_ben_or_classifies_every_monic_polynomial_as_rabin(p, m):
+    verdicts = [_is_irreducible(_monic(v, p, m), p) for v in range(p**m)]
+    assert verdicts == [_is_irreducible_rabin(_monic(v, p, m), p) for v in range(p**m)]
+    assert sum(verdicts) == _irreducible_count(p, m)
+
+
+def test_find_irreducible_picks_the_rabin_scan_modulus():
+    for p in (3, 5, 7, 11):
+        m = 1
+        while p**m <= 200_000:
+            expected = next(f for v in range(p**m) if _is_irreducible_rabin(f := _monic(v, p, m), p))
+            assert find_irreducible(p, m).modulus == expected, (p, m)
+            m += 1
+
+
+def test_find_irreducible_at_the_degree_bound_is_fast():
+    start = time.perf_counter()
+    field = find_irreducible(3, MAX_EXTENSION_DEGREE)
+    assert time.perf_counter() - start < 10
+    assert field.m == MAX_EXTENSION_DEGREE and _is_irreducible_rabin(field.modulus, 3)
+
+
+def test_find_irreducible_refuses_degrees_above_the_bound():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_EXTENSION_DEGREE"):
+        find_irreducible(3, MAX_EXTENSION_DEGREE + 1)
+    with pytest.raises(ValueError, match="MAX_EXTENSION_DEGREE"):
+        find_irreducible(3, 10**9)
+    assert time.perf_counter() - start < 0.1
