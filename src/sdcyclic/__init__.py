@@ -8,14 +8,8 @@ from .chainring import (
     RElem,
     RIdealGens,
     RVector,
-    canonical_form,
-    inner_product,
     is_self_dual,
     is_self_orthogonal,
-    r_add,
-    r_mul,
-    r_neg,
-    r_scale,
     span_dimension,
 )
 from .enumerator import (
@@ -39,7 +33,6 @@ from .gmatrix import (
     g_truncated,
     kron,
     min_level,
-    rank_fp,
     solution_column,
     truncate_g,
 )
@@ -47,10 +40,6 @@ from .reciprocal import (
     SolutionBasis,
     XPoly,
     basis_convert,
-    is_solution,
-    kernel_oracle,
-    reciprocal_oracle,
-    reciprocal_transform,
     solution_basis,
 )
 
@@ -73,7 +62,6 @@ __all__ = [
     "build_code",
     "build_g_direct",
     "build_g_kron",
-    "canonical_form",
     "classify_cases",
     "count_self_dual",
     "descriptor_codes",
@@ -82,21 +70,11 @@ __all__ = [
     "find_irreducible",
     "g_entry",
     "g_truncated",
-    "inner_product",
     "is_prime",
     "is_self_dual",
     "is_self_orthogonal",
-    "is_solution",
-    "kernel_oracle",
     "kron",
     "min_level",
-    "r_add",
-    "r_mul",
-    "r_neg",
-    "r_scale",
-    "rank_fp",
-    "reciprocal_oracle",
-    "reciprocal_transform",
     "sample_codes",
     "solution_basis",
     "solution_column",

@@ -1,9 +1,9 @@
-"""Arithmetic in R = F_{p^m} + u F_{p^m} (u^2 = 0) and an independent
-verification engine for ideals of R[x]/(x^N -+ 1).
+"""An independent verification engine for ideals of R[x]/(x^N -+ 1),
+R = F_{p^m} + u F_{p^m} (u^2 = 0).
 
-An element a + u*b is the pair (a, b) of field-element tuples; a length-N
-vector over R is a tuple of such pairs.  The verifier knows nothing about
-how codes were produced; it works on the generators alone.
+An element a + u*b of R is the pair (a, b) of field-element tuples; a
+length-N vector over R is a tuple of such pairs.  The verifier knows
+nothing about how codes were produced; it works on the generators alone.
 
 For N = p^s, x^N -+ 1 = (x -+ 1)^N in characteristic p, so
 A = F_{p^m}[x]/(x^N -+ 1) is the chain ring F_{p^m}[t]/(t^N) and an ideal
@@ -17,10 +17,6 @@ Orthogonality is checked on generator shifts only: the inner product is
 bilinear and invariant under the (nega)cyclic shift applied to both
 arguments, and u-multiples only ever shrink products because u^2 = 0.
 All N shifts of one generator pair come from one polynomial product.
-
-The dense expansion (all shifts of each generator and of u times it, as
-2N-dimensional (a | b) rows over F_{p^m}, row-reduced exactly) remains
-for canonical_form and as the test oracle of the structured verifier.
 """
 
 from __future__ import annotations
@@ -34,42 +30,6 @@ from .fieldcore import FieldSpec, FqElem
 
 RElem = Tuple[FqElem, FqElem]
 RVector = Tuple[RElem, ...]
-
-
-def r_add(field: FieldSpec, x: RElem, y: RElem) -> RElem:
-    return (field.add(x[0], y[0]), field.add(x[1], y[1]))
-
-
-def r_neg(field: FieldSpec, x: RElem) -> RElem:
-    return (field.neg(x[0]), field.neg(x[1]))
-
-
-def r_mul(field: FieldSpec, x: RElem, y: RElem) -> RElem:
-    """(a + ub)(c + ud) = ac + u(ad + bc)."""
-    a, b = x
-    c, d = y
-    return (
-        field.mul(a, c),
-        field.add(field.mul(a, d), field.mul(b, c)),
-    )
-
-
-def r_zero(field: FieldSpec) -> RElem:
-    return (field.zero(), field.zero())
-
-
-def r_scale(field: FieldSpec, c: RElem, vec: RVector) -> RVector:
-    return tuple(r_mul(field, c, v) for v in vec)
-
-
-def inner_product(field: FieldSpec, xs: RVector, ys: RVector) -> RElem:
-    """Euclidean inner product sum(x_i * y_i) in R."""
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    acc = r_zero(field)
-    for x, y in zip(xs, ys):
-        acc = r_add(field, acc, r_mul(field, x, y))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -96,8 +56,8 @@ class RIdealGens:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized field kernels.  Arrays of field elements have the coefficient
-# axis last: shape (..., m) of int64 residues.
+# Arrays of field elements have the coefficient axis last: shape (..., m)
+# of int64 residues.
 
 @lru_cache(maxsize=8)
 def _reduction_rows(field: FieldSpec) -> np.ndarray:
@@ -111,72 +71,9 @@ def _reduction_rows(field: FieldSpec) -> np.ndarray:
     return rows
 
 
-def _mul_arrays(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast elementwise field product; shapes (.., m) x (.., m)."""
-    p, m = field.p, field.m
-    if m == 1:
-        return (a * b) % p
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    conv = np.zeros(shape + (2 * m - 1,), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            conv[..., i + j] += a[..., i] * b[..., j]
-    return (conv % p) @ _reduction_rows(field) % p
-
-
 def _gen_arrays(vec: RVector) -> tuple[np.ndarray, np.ndarray]:
     ab = np.array(vec, dtype=np.int64)
     return ab[:, 0], ab[:, 1]
-
-
-def _orbit_rows(gens: RIdealGens) -> np.ndarray:
-    """All shifts of every generator and of u times it, split into the
-    (a | b) coordinates: shape (rows, 2N, m).  Row 2i of a generator's
-    block is x^i g, row 2i+1 is u x^i g; entries that wrapped past x^N
-    pick up the ring sign."""
-    n, sign, p = gens.n, gens.ring_sign, gens.field.p
-    pos = np.arange(n)
-    source = (pos[None, :] - pos[:, None]) % n  # [shift i, position j] -> j - i
-    wrapped = pos[None, :] < pos[:, None]
-    blocks = []
-    for g in gens.generators:
-        a, b = _gen_arrays(g)
-        sa, sb = a[source], b[source]
-        if sign == -1:
-            sa[wrapped] = (-sa[wrapped]) % p
-            sb[wrapped] = (-sb[wrapped]) % p
-        top = np.concatenate([sa, sb], axis=1)
-        bottom = np.concatenate([np.zeros_like(sa), sa], axis=1)
-        blocks.append(np.stack([top, bottom], axis=1).reshape(2 * n, 2 * n, -1))
-    return np.concatenate(blocks)
-
-
-def _rref(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """Reduced row echelon form over F_{p^m}; returns the nonzero rows,
-    pivots normalized to 1 and ordered by column."""
-    rows = rows.copy()
-    p = field.p
-    nrows, ncols = rows.shape[0], rows.shape[1]
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        hits = np.nonzero(rows[r:, c, :].any(axis=1))[0]
-        if hits.size == 0:
-            continue
-        pr = hits[0] + r
-        if pr != r:
-            rows[[r, pr]] = rows[[pr, r]]
-        inv = np.array(field.inv(tuple(int(v) for v in rows[r, c])), dtype=np.int64)
-        rows[r] = _mul_arrays(field, rows[r], inv)
-        others = np.nonzero(rows[:, c, :].any(axis=1))[0]
-        others = others[others != r]
-        if others.size:
-            factors = rows[others, c, :]
-            delta = _mul_arrays(field, factors[:, None, :], rows[r][None, :, :])
-            rows[others] = (rows[others] - delta) % p
-        r += 1
-    return rows[:r]
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +267,3 @@ def _self_dual_failure(gens: RIdealGens, s: int) -> str | None:
         return f"not self-orthogonal: shift {i}, generators ({j}, {k}), {part} part"
     d = span_dimension(gens)
     return None if d == n else f"dimension {d} != {n}"
-
-
-def canonical_form(gens: RIdealGens) -> tuple[tuple[FqElem, ...], ...]:
-    """The reduced row-echelon basis of the 2N-dimensional expansion,
-    as nested tuples.  Equal ideals give identical forms, so this is the
-    distinctness key for code sets.  Refuses, like the verifier, sizes
-    whose products would overflow int64."""
-    _check_int64(gens)
-    red = _rref(gens.field, _orbit_rows(gens))
-    return tuple(tuple(tuple(int(v) for v in entry) for entry in row) for row in red.tolist())

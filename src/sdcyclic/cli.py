@@ -230,14 +230,6 @@ def _matrix_chunks(mat: MatrixFp, fmt: str) -> Iterator[str]:
         yield "]}"
 
 
-def _matrix_text(mat: MatrixFp) -> str:
-    return "".join(_matrix_chunks(mat, "text"))
-
-
-def _matrix_json(mat: MatrixFp) -> str:
-    return "".join(_matrix_chunks(mat, "json"))
-
-
 # ---------------------------------------------------------------------------
 # JSON import/export
 

@@ -297,7 +297,11 @@ def find_irreducible(p: int, m: int) -> FieldSpec:
             f"extension degree {m} is above MAX_EXTENSION_DEGREE = {MAX_EXTENSION_DEGREE}, "
             "the largest m for which a modulus is searched"
         )
-    for value in range(p**m):
+    # When 4 | m and p = 3 (mod 4), no x^m + c is irreducible (Lidl and
+    # Niederreiter, Finite Fields, Thm 3.75), so those p candidates are
+    # skipped: at a huge p the scan would never get past them.
+    start = p if m % 4 == 0 and p % 4 == 3 else 0
+    for value in range(start, p**m):
         coeffs = []
         v = value
         for _ in range(m):

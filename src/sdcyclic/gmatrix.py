@@ -5,9 +5,8 @@ The square matrix of order p^lam whose (i, j) entry is
 ``b(x) -> x^(-1) b(x^(-1))`` on the (x-1)-adic basis of
 ``F[x]/((x-1)^(p^lam))``.  This module builds it two independent ways
 (entry formula vs. Kronecker recursion), truncates it to leading l x l
-blocks, computes exact ranks over F_p, and slices out the odd-indexed
-columns of ``G_l + I_l`` whose truncations span the fixed-point spaces of
-the transform.
+blocks, and slices out the odd-indexed columns of ``G_l + I_l`` whose
+truncations span the fixed-point spaces of the transform.
 
 Matrices are dense ``int64`` arrays with entries reduced into ``[0, p)``
 and are immutable after construction.
@@ -164,9 +163,7 @@ def min_level(p: int, l: int) -> int:
 @lru_cache(maxsize=6)
 def _g_full(p: int, lam: int, cap: int) -> MatrixFp:
     """The full order-p^lam matrix, built once per level."""
-    if lam >= 2:
-        return build_g_kron(p, lam, cap=cap)
-    return build_g_direct(p, lam, cap=cap)
+    return build_g_kron(p, lam, cap=cap)
 
 
 # Each entry is a view that keeps its full matrix alive, so this cache is
@@ -177,30 +174,6 @@ def g_truncated(p: int, l: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
     (lam recomputed as the least level with l <= p^lam).  Cached; every
     truncation is a read-only view of the one full matrix of its level."""
     return truncate_g(_g_full(p, min_level(p, l), cap), l)
-
-
-def rank_fp(mat: MatrixFp) -> int:
-    """Exact rank over F_p by Gaussian elimination on a working copy."""
-    a = mat.data.copy()
-    p = mat.p
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pr = hits[0] + r
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0] + r + 1
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -247,4 +220,4 @@ def solution_column(g_l: MatrixFp, j: int, delta: int = 0) -> SolutionColumn:
     vals = g_l.data[delta:, col - 1].copy()
     # the identity contribution lands on the diagonal row, always >= delta+1
     vals[col - 1 - delta] = (vals[col - 1 - delta] + 1) % g_l.p
-    return SolutionColumn(tuple(int(v) for v in vals), col, delta, l)
+    return SolutionColumn(tuple(vals.tolist()), col, delta, l)

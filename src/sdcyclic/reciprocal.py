@@ -1,5 +1,6 @@
-"""The reciprocal transform b(x) -> x^(-1) b(x^(-1)) on F_{p^m}[x]/((x-1)^l),
-its fixed-point solution spaces, and independent brute-force oracles.
+"""Fixed-point spaces of the reciprocal transform b(x) -> x^(-1) b(x^(-1))
+on F_{p^m}[x]/((x-1)^l), and the change of basis between (x-1)-adic and
+standard coefficients.
 
 Polynomials live in the (x-1)-adic basis: ``coeffs[i]`` multiplies
 ``(x-1)^i``.  That basis is the natural coordinate system for codes of
@@ -7,10 +8,9 @@ length p^s, since x^(p^s) - 1 = (x-1)^(p^s) in characteristic p.  The
 covering level lam is always recomputed as the least power with
 l <= p^lam, never carried around.
 
-The production transform is a single triangular matrix-vector product
-over F_p.  The oracle redoes the map by direct polynomial arithmetic
-(basis change, substitution x -> x^(p^lam - 1), multiplication, reduction)
-and never touches the matrices, so the two paths check each other.
+The transform acts on coefficient columns as the truncated reciprocal
+matrix G_l, so its fixed points are the kernel of G_l - I_l, spanned by
+the odd-indexed columns of G_l + I_l (``solution_basis``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ._numpy import np
 from .binomial import _binom_grid
@@ -103,37 +103,6 @@ def basis_convert(field: FieldSpec, coeffs: Sequence[FqElem], direction: str) ->
     return _from_array((mat @ _to_array(coeffs)) % field.p)
 
 
-def reciprocal_transform(b: XPoly) -> XPoly:
-    """Coefficients of x^(-1) b(x^(-1)) mod (x-1)^l: the truncated
-    reciprocal matrix applied to the coefficient column."""
-    if b.l == 0:
-        return b
-    g = g_truncated(b.field.p, b.l)
-    out = (g.data @ _to_array(b.coeffs)) % b.field.p
-    return XPoly(b.field, b.l, _from_array(out))
-
-
-def reciprocal_oracle(b: XPoly) -> XPoly:
-    """Same map by direct polynomial arithmetic, independent of any
-    matrix: convert to the standard basis inside F[x]/(x^n - 1) for
-    n = p^lam, substitute x -> x^(n-1), multiply by x^(n-1), reduce
-    mod (x-1)^l, convert back."""
-    field, l = b.field, b.l
-    if l == 0:
-        return b
-    n = field.p ** min_level(field.p, l)
-    std = list(basis_convert(field, b.coeffs, XM1_TO_STD))
-    std += [field.zero()] * (n - l)
-    out = [field.zero()] * n
-    for j, c in enumerate(std):
-        if any(c):
-            # x^j -> x^(j(n-1)), then the extra factor x^(n-1)
-            t = ((j + 1) * (n - 1)) % n
-            out[t] = field.add(out[t], c)
-    back = basis_convert(field, out, STD_TO_XM1)
-    return XPoly(field, l, back[:l])
-
-
 @dataclass(frozen=True)
 class SolutionBasis:
     """Basis of the delta-truncated fixed-point space: the valid
@@ -161,11 +130,6 @@ class SolutionBasis:
         pmat = _to_array(params)  # (dim, m)
         return _from_array((cols @ pmat) % self.field.p)
 
-    def iter_span(self) -> Iterator[tuple[FqElem, ...]]:
-        """Every element of the span, parameters in lexicographic order."""
-        for combo in itertools.product(self.field.elements(), repeat=self.dimension):
-            yield self.combine(combo)
-
 
 def solution_basis(field: FieldSpec, l: int, delta: int = 0) -> SolutionBasis:
     """Basis vectors for the solutions supported on coefficients
@@ -176,32 +140,3 @@ def solution_basis(field: FieldSpec, l: int, delta: int = 0) -> SolutionBasis:
     jmin, jmax = column_index_range(l, delta)
     vectors = tuple(solution_column(g, j, delta) for j in range(jmin, jmax + 1))
     return SolutionBasis(field, l, delta, vectors)
-
-
-def is_solution(b: XPoly, delta: int = 0) -> bool:
-    """True iff b is fixed by the reciprocal transform, i.e.
-    (G_l - I_l) B_l = 0, and its first delta coefficients vanish."""
-    if any(any(c) for c in b.coeffs[:delta]):
-        return False
-    if b.l == 0:
-        return True
-    g = g_truncated(b.field.p, b.l)
-    v = _to_array(b.coeffs)
-    return not (((g.data @ v) - v) % b.field.p).any()
-
-
-def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tuple[FqElem, ...]]:
-    """All B in F_{p^m}^l with (G_l - I_l) B = 0, found by exhausting
-    every candidate vector.  Test oracle only; refuses searches beyond
-    ``guard`` candidates."""
-    total = field.order**l
-    if total > guard:
-        raise ValueError(f"{total} candidates exceeds the oracle guard {guard}")
-    g = g_truncated(field.p, l)
-    gmi = (g.data - np.eye(l, dtype=np.int64)) % field.p
-    out = []
-    for combo in itertools.product(field.elements(), repeat=l):
-        v = np.array(combo, dtype=np.int64)
-        if not ((gmi @ v) % field.p).any():
-            out.append(combo)
-    return out

@@ -1,0 +1,244 @@
+"""Test oracles: independent reference code that no production path uses.
+
+* The scalar layer of R = F_q + uF_q (``r_add``, ``r_mul``, ...) and the
+  Euclidean ``inner_product``, for duals by brute force at the smallest
+  sizes.
+* The dense verifier: every shift of each generator and of u times it,
+  as 2N-dimensional (a | b) rows over F_{p^m} (``orbit_rows``),
+  row-reduced exactly (``rref``).  Its reduced basis, ``canonical_form``,
+  is the distinctness key of code sets, and the number of rows it keeps
+  is the rank of a matrix over F_p (``rref_rank``).
+* The reciprocal map twice: as the truncated matrix times the
+  coefficient column (``reciprocal_transform``) and by raw polynomial
+  arithmetic that never touches a matrix (``reciprocal_oracle``), with
+  the fixed-point test ``is_solution`` and the brute-force
+  ``kernel_oracle``.
+* Every element of a solution basis's span (``iter_span``), and the
+  whole ``gmatrix`` text or json as one string (``matrix_text``,
+  ``matrix_json``).
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+import numpy as np
+
+from sdcyclic import (
+    FieldSpec,
+    FqElem,
+    MatrixFp,
+    RElem,
+    RIdealGens,
+    RVector,
+    SolutionBasis,
+    XPoly,
+    basis_convert,
+    cli,
+    find_irreducible,
+    g_truncated,
+    min_level,
+)
+from sdcyclic.chainring import _check_int64, _gen_arrays, _reduction_rows
+from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD, _from_array, _to_array
+
+# ---------------------------------------------------------------------------
+# Scalar arithmetic in R: an element a + u*b is the pair (a, b).
+
+
+def r_add(field: FieldSpec, x: RElem, y: RElem) -> RElem:
+    return (field.add(x[0], y[0]), field.add(x[1], y[1]))
+
+
+def r_neg(field: FieldSpec, x: RElem) -> RElem:
+    return (field.neg(x[0]), field.neg(x[1]))
+
+
+def r_mul(field: FieldSpec, x: RElem, y: RElem) -> RElem:
+    """(a + ub)(c + ud) = ac + u(ad + bc)."""
+    a, b = x
+    c, d = y
+    return (
+        field.mul(a, c),
+        field.add(field.mul(a, d), field.mul(b, c)),
+    )
+
+
+def r_scale(field: FieldSpec, c: RElem, vec: RVector) -> RVector:
+    return tuple(r_mul(field, c, v) for v in vec)
+
+
+def inner_product(field: FieldSpec, xs: RVector, ys: RVector) -> RElem:
+    """Euclidean inner product sum(x_i * y_i) in R."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    acc = (field.zero(), field.zero())
+    for x, y in zip(xs, ys):
+        acc = r_add(field, acc, r_mul(field, x, y))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# The dense verifier.  Arrays of field elements have the coefficient axis
+# last: shape (..., m) of int64 residues.
+
+
+def mul_arrays(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast elementwise field product; shapes (.., m) x (.., m)."""
+    p, m = field.p, field.m
+    if m == 1:
+        return (a * b) % p
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    conv = np.zeros(shape + (2 * m - 1,), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            conv[..., i + j] += a[..., i] * b[..., j]
+    return (conv % p) @ _reduction_rows(field) % p
+
+
+def orbit_rows(gens: RIdealGens) -> np.ndarray:
+    """All shifts of every generator and of u times it, split into the
+    (a | b) coordinates: shape (rows, 2N, m).  Row 2i of a generator's
+    block is x^i g, row 2i+1 is u x^i g; entries that wrapped past x^N
+    pick up the ring sign."""
+    n, sign, p = gens.n, gens.ring_sign, gens.field.p
+    pos = np.arange(n)
+    source = (pos[None, :] - pos[:, None]) % n  # [shift i, position j] -> j - i
+    wrapped = pos[None, :] < pos[:, None]
+    blocks = []
+    for g in gens.generators:
+        a, b = _gen_arrays(g)
+        sa, sb = a[source], b[source]
+        if sign == -1:
+            sa[wrapped] = (-sa[wrapped]) % p
+            sb[wrapped] = (-sb[wrapped]) % p
+        top = np.concatenate([sa, sb], axis=1)
+        bottom = np.concatenate([np.zeros_like(sa), sa], axis=1)
+        blocks.append(np.stack([top, bottom], axis=1).reshape(2 * n, 2 * n, -1))
+    return np.concatenate(blocks)
+
+
+def rref(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Reduced row echelon form over F_{p^m}; returns the nonzero rows,
+    pivots normalized to 1 and ordered by column."""
+    rows = rows.copy()
+    p = field.p
+    nrows, ncols = rows.shape[0], rows.shape[1]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        hits = np.nonzero(rows[r:, c, :].any(axis=1))[0]
+        if hits.size == 0:
+            continue
+        pr = hits[0] + r
+        if pr != r:
+            rows[[r, pr]] = rows[[pr, r]]
+        inv = np.array(field.inv(tuple(int(v) for v in rows[r, c])), dtype=np.int64)
+        rows[r] = mul_arrays(field, rows[r], inv)
+        others = np.nonzero(rows[:, c, :].any(axis=1))[0]
+        others = others[others != r]
+        if others.size:
+            factors = rows[others, c, :]
+            delta = mul_arrays(field, factors[:, None, :], rows[r][None, :, :])
+            rows[others] = (rows[others] - delta) % p
+        r += 1
+    return rows[:r]
+
+
+def rref_rank(mat: MatrixFp) -> int:
+    """Rank over F_p: the number of rows ``rref`` keeps."""
+    return rref(find_irreducible(mat.p, 1), mat.data[:, :, None]).shape[0]
+
+
+def canonical_form(gens: RIdealGens) -> tuple[tuple[FqElem, ...], ...]:
+    """The reduced row-echelon basis of the 2N-dimensional expansion,
+    as nested tuples.  Equal ideals give identical forms, so this is the
+    distinctness key for code sets.  Refuses, like the verifier, sizes
+    whose products would overflow int64."""
+    _check_int64(gens)
+    red = rref(gens.field, orbit_rows(gens))
+    return tuple(tuple(tuple(int(v) for v in entry) for entry in row) for row in red.tolist())
+
+
+# ---------------------------------------------------------------------------
+# The reciprocal map b(x) -> x^(-1) b(x^(-1)) mod (x-1)^l and its kernel.
+
+
+def reciprocal_transform(b: XPoly) -> XPoly:
+    """Coefficients of x^(-1) b(x^(-1)) mod (x-1)^l: the truncated
+    reciprocal matrix applied to the coefficient column."""
+    if b.l == 0:
+        return b
+    g = g_truncated(b.field.p, b.l)
+    out = (g.data @ _to_array(b.coeffs)) % b.field.p
+    return XPoly(b.field, b.l, _from_array(out))
+
+
+def reciprocal_oracle(b: XPoly) -> XPoly:
+    """Same map by direct polynomial arithmetic, independent of any
+    matrix: convert to the standard basis inside F[x]/(x^n - 1) for
+    n = p^lam, substitute x -> x^(n-1), multiply by x^(n-1), reduce
+    mod (x-1)^l, convert back."""
+    field, l = b.field, b.l
+    if l == 0:
+        return b
+    n = field.p ** min_level(field.p, l)
+    std = list(basis_convert(field, b.coeffs, XM1_TO_STD))
+    std += [field.zero()] * (n - l)
+    out = [field.zero()] * n
+    for j, c in enumerate(std):
+        if any(c):
+            # x^j -> x^(j(n-1)), then the extra factor x^(n-1)
+            t = ((j + 1) * (n - 1)) % n
+            out[t] = field.add(out[t], c)
+    back = basis_convert(field, out, STD_TO_XM1)
+    return XPoly(field, l, back[:l])
+
+
+def is_solution(b: XPoly, delta: int = 0) -> bool:
+    """True iff b is fixed by the reciprocal transform, i.e.
+    (G_l - I_l) B_l = 0, and its first delta coefficients vanish."""
+    if any(any(c) for c in b.coeffs[:delta]):
+        return False
+    if b.l == 0:
+        return True
+    g = g_truncated(b.field.p, b.l)
+    v = _to_array(b.coeffs)
+    return not (((g.data @ v) - v) % b.field.p).any()
+
+
+def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tuple[FqElem, ...]]:
+    """All B in F_{p^m}^l with (G_l - I_l) B = 0, found by exhausting
+    every candidate vector; refuses searches beyond ``guard``
+    candidates."""
+    total = field.order**l
+    if total > guard:
+        raise ValueError(f"{total} candidates exceeds the oracle guard {guard}")
+    g = g_truncated(field.p, l)
+    gmi = (g.data - np.eye(l, dtype=np.int64)) % field.p
+    out = []
+    for combo in itertools.product(field.elements(), repeat=l):
+        v = np.array(combo, dtype=np.int64)
+        if not ((gmi @ v) % field.p).any():
+            out.append(combo)
+    return out
+
+
+def iter_span(basis: SolutionBasis) -> Iterator[tuple[FqElem, ...]]:
+    """Every element of the span, parameters in lexicographic order."""
+    for combo in itertools.product(basis.field.elements(), repeat=basis.dimension):
+        yield basis.combine(combo)
+
+
+# ---------------------------------------------------------------------------
+# gmatrix output as one string
+
+
+def matrix_text(mat: MatrixFp) -> str:
+    return "".join(cli._matrix_chunks(mat, "text"))
+
+
+def matrix_json(mat: MatrixFp) -> str:
+    return "".join(cli._matrix_chunks(mat, "json"))

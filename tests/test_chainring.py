@@ -11,23 +11,19 @@ from sdcyclic import (
     FieldSpec,
     RIdealGens,
     basis_convert,
-    canonical_form,
     chainring,
     enumerate_codes,
     find_irreducible,
-    inner_product,
     is_self_dual,
     is_self_orthogonal,
-    r_add,
-    r_mul,
-    r_neg,
-    r_scale,
     sample_codes,
     span_dimension,
     to_negacyclic,
 )
-from sdcyclic.chainring import _orbit_rows, _reduction_rows, _rref
+from sdcyclic.chainring import _reduction_rows
 from sdcyclic.reciprocal import XM1_TO_STD
+
+from oracles import canonical_form, inner_product, orbit_rows, r_add, r_mul, r_neg, r_scale, rref
 
 
 def _relem(field, a, b=0):
@@ -274,7 +270,7 @@ def test_rideal_validation(f3):
 
 
 def _dense_dimension(gens):
-    return int(_rref(gens.field, _orbit_rows(gens)).shape[0])
+    return int(rref(gens.field, orbit_rows(gens)).shape[0])
 
 
 def _field_dot(field, x, y):
@@ -293,7 +289,7 @@ def _dense_products(gens, against):
     """Main and u parts of <row, other> for every orbit row and every row
     in ``against``, straight from the expanded (a | b) coordinates."""
     n, p = gens.n, gens.field.p
-    rows = _orbit_rows(gens)
+    rows = orbit_rows(gens)
     ra, rb = rows[:, :n], rows[:, n:]
     oa, ob = against[:, :n], against[:, n:]
     main = _field_dot(gens.field, ra, oa)
@@ -304,7 +300,7 @@ def _dense_products(gens, against):
 def _dense_self_orthogonal(gens):
     """Every pair of spanning rows is orthogonal: a Gram matrix over the
     whole expansion, with no appeal to shift invariance."""
-    main, upart = _dense_products(gens, _orbit_rows(gens))
+    main, upart = _dense_products(gens, orbit_rows(gens))
     return not main.any() and not upart.any()
 
 
@@ -319,7 +315,7 @@ def _assert_matches_oracle(gens):
     # the reported entry is the first nonzero one, pairs j <= k in order,
     # shifts ascending, main part before u part
     n = gens.n
-    main, upart = _dense_products(gens, _orbit_rows(gens)[:: 2 * n])  # each g_k itself
+    main, upart = _dense_products(gens, orbit_rows(gens)[:: 2 * n])  # each g_k itself
     first = next(
         (i, j, k, "main" if main[2 * n * j + 2 * i, k].any() else "u")
         for j in range(len(gens.generators))

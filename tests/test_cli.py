@@ -29,6 +29,8 @@ from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
 from sdcyclic.enumerator import _count_digits
 from sdcyclic.fieldcore import MAX_EXTENSION_DEGREE
 
+from oracles import matrix_json, matrix_text
+
 
 # -- the per-code renderer the row renderer replaced, kept as its oracle
 
@@ -550,7 +552,7 @@ def test_verify_all_refuses_a_window(capsys, window):
 # -- closed forms: matrix text, counts, refusals -------------------------------
 
 def _matrix_text_per_entry(mat):
-    """The per-entry formatter that ``cli._matrix_text`` replaced, kept
+    """The per-entry formatter that the byte-grid renderer replaced, kept
     as its oracle."""
     width = max(1, len(str(mat.p - 1)))
     return "\n".join(" ".join(f"{int(v):>{width}}" for v in row) for row in mat.data)
@@ -565,9 +567,9 @@ def test_matrix_text_equals_per_entry_formatter(p):
     shapes += [MatrixFp(p, rng.integers(0, p, size=(r, c))) for r, c in ((1, 1), (1, 5), (4, 1), (30, 70))]
     shapes.append(MatrixFp(p, [[0, p - 1], [p - 1, 0]]))
     for mat in shapes:
-        assert cli._matrix_text(mat) == _matrix_text_per_entry(mat)
+        assert matrix_text(mat) == _matrix_text_per_entry(mat)
         obj = {"p": p, "rows": mat.rows, "cols": mat.cols, "entries": mat.data.tolist()}
-        assert cli._matrix_json(mat) == json.dumps(obj, separators=(",", ":"))
+        assert matrix_json(mat) == json.dumps(obj, separators=(",", ":"))
 
 
 def test_gmatrix_text_equals_per_entry_formatter(capsys):

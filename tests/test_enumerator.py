@@ -9,7 +9,6 @@ from sdcyclic import (
     XPoly,
     basis_convert,
     build_code,
-    canonical_form,
     classify_cases,
     count_self_dual,
     descriptor_codes,
@@ -36,6 +35,8 @@ from sdcyclic.enumerator import (
 )
 from sdcyclic.gmatrix import _g_full
 from sdcyclic.reciprocal import XM1_TO_STD
+
+from oracles import canonical_form
 
 
 def _ideal_from_k_and_b(field, s, k, b_coeffs):

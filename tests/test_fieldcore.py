@@ -249,3 +249,13 @@ def test_find_irreducible_refuses_degrees_above_the_bound():
     with pytest.raises(ValueError, match="MAX_EXTENSION_DEGREE"):
         find_irreducible(3, 10**9)
     assert time.perf_counter() - start < 0.1
+
+
+def test_find_irreducible_at_a_huge_prime_skips_the_binomials():
+    # p = 3 (mod 4) and 4 | m: no x^m + c is irreducible, and there are
+    # about p of them, so the scan must not start with them
+    p = 10**18 + 3
+    start = time.perf_counter()
+    field = find_irreducible(p, 16)
+    assert time.perf_counter() - start < 10
+    assert any(field.modulus[1:-1]) and _is_irreducible_rabin(field.modulus, p)
