@@ -16,14 +16,15 @@ from ._numpy import np
 from .fieldcore import is_prime
 
 
-# A command uses one prime, and the table is 8 MB at p = 1021.
+# A command uses one prime, and the table is 2 MB at p = 1021.
 @lru_cache(maxsize=2)
 def _pascal_table(p: int) -> np.ndarray:
     """C(n, k) mod p for all 0 <= n, k < p, zero above the diagonal;
-    read-only int64, filled one row at a time."""
+    read-only, filled one row at a time, in the narrowest unsigned dtype
+    that holds the sum of two entries (uint16 up to p = 32749)."""
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    table = np.zeros((p, p), dtype=np.int64)
+    table = np.zeros((p, p), dtype=np.min_scalar_type(2 * (p - 1)))
     table[:, 0] = 1
     for n in range(1, p):
         table[n, 1 : n + 1] = (table[n - 1, :n] + table[n - 1, 1 : n + 1]) % p
@@ -34,10 +35,11 @@ def _pascal_table(p: int) -> np.ndarray:
 def _binom_grid(p: int, n: np.ndarray, k: np.ndarray, digits: int) -> np.ndarray:
     """C(n, k) mod p elementwise over broadcast integer arrays with
     0 <= n, k < p^digits: one gather from the Pascal table per base-p
-    digit.  Entries with k > n come out 0, because some digit of k then
-    exceeds the digit of n and the table is zero above its diagonal."""
+    digit, widened to int64.  Entries with k > n come out 0, because some
+    digit of k then exceeds the digit of n and the table is zero above
+    its diagonal."""
     table = _pascal_table(p)
-    out = table[n % p, k % p]
+    out = table[n % p, k % p].astype(np.int64)
     for _ in range(digits - 1):
         n, k = n // p, k // p
         out = out * table[n % p, k % p] % p

@@ -47,7 +47,7 @@ from .enumerator import (
     to_negacyclic,
 )
 from .fieldcore import FieldSpec, FqElem
-from .gmatrix import MatrixFp, build_g_kron, column_index_range, g_truncated, solution_column
+from .gmatrix import _checked_order, _g_rows, column_index_range, g_truncated, min_level, solution_column
 from .reciprocal import XM1_TO_STD, basis_convert
 
 
@@ -187,45 +187,44 @@ def _block_lines(blocks: Iterable[_Block], fmt: str, first_index: int) -> Iterat
             index += 1
 
 
-def _matrix_grid(mat: MatrixFp, sep: str, row_end: str) -> np.ndarray:
-    """The entries of ``mat`` as one (rows, cols, width + 1) byte grid,
-    width that of p - 1: each cell is its digits after leading spaces,
-    then ``sep``, or ``row_end`` in a row's last cell.  The grid stays in
-    the narrowest dtype that holds p - 1."""
-    width = max(1, len(str(mat.p - 1)))
-    vals = mat.data.astype(np.min_scalar_type(mat.p - 1))
-    grid = np.full(vals.shape + (width + 1,), ord(sep), dtype=np.uint8)
-    for w in range(width):
-        digit = vals // 10**w % 10 + ord("0")
-        grid[..., width - 1 - w] = digit if w == 0 else np.where(vals >= 10**w, digit, ord(" "))
-    grid[:, -1, width] = ord(row_end)
-    return grid
+def _cell_table(count: int, width: int, sep: str) -> np.ndarray:
+    """The bytes of each value below ``count`` as a matrix cell: its
+    digits after leading spaces to ``width``, then ``sep``; one row per
+    value."""
+    text = "".join([f"{v:>{width}}{sep}" for v in range(count)])
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(count, width + 1)
 
 
-# gmatrix renders and writes this many rows at a time, so the text of a
-# large matrix is never held whole next to the matrix.
-MATRIX_BLOCK_ROWS = 64
-
-
-def _matrix_chunks(mat: MatrixFp, fmt: str) -> Iterator[str]:
-    """The text or json form of ``mat``, one piece per block of
-    ``MATRIX_BLOCK_ROWS`` rows, each rendered only when it is asked for.
-    Text is rows of right-aligned entries, all of the width of p - 1;
-    json is the text grid with ',' between cells, each row in brackets
-    and the padding removed."""
+def _matrix_chunks(p: int, rows: int, cols: int, blocks: Iterable[np.ndarray], fmt: str) -> Iterator[str]:
+    """The text or json form of a ``rows x cols`` matrix of residues mod
+    p, given as consecutive row blocks, one piece per block, each
+    rendered only when it is asked for.  Text is rows of right-aligned
+    entries, all of the width of p - 1; json is the same cells with ','
+    between them, each row in brackets and the padding removed.  A cell
+    is gathered from a byte table of the values up to the largest one
+    present, so the table never grows with p alone."""
+    width = len(str(p - 1))
+    sep, row_end = (",", "]") if fmt == "json" else (" ", "\n")
     if fmt == "json":
-        yield f'{{"p":{mat.p},"rows":{mat.rows},"cols":{mat.cols},"entries":['
-    for start in range(0, mat.rows, MATRIX_BLOCK_ROWS):
-        part = MatrixFp._view(mat.p, mat.data[start : start + MATRIX_BLOCK_ROWS])
+        yield f'{{"p":{p},"rows":{rows},"cols":{cols},"entries":['
+    table = _cell_table(0, width, sep)
+    done = 0
+    for block in blocks:
+        count = int(block.max()) + 1
+        if count > len(table):
+            table = _cell_table(count, width, sep)
+        cells = table.take(block, axis=0)
+        cells[:, -1, -1] = ord(row_end)
         if fmt == "json":
-            grid = _matrix_grid(part, ",", "]").reshape(part.rows, -1)
-            edge = np.full((part.rows, 1), ord("["), dtype=np.uint8)
-            rows = np.concatenate([edge, grid, np.full_like(edge, ord(","))], axis=1)
-            body = rows.tobytes().replace(b" ", b"")
+            grid = np.empty((len(block), cols * (width + 1) + 2), dtype=np.uint8)
+            grid[:, 0], grid[:, -1] = ord("["), ord(",")
+            grid[:, 1:-1] = cells.reshape(len(block), -1)
+            body = grid[grid != ord(" ")].tobytes()
         else:
-            body = _matrix_grid(part, " ", "\n").tobytes()
+            body = cells.tobytes()
+        done += len(block)
         # the last row ends the list (json) or the output (text)
-        yield (body if start + MATRIX_BLOCK_ROWS < mat.rows else body[:-1]).decode("ascii")
+        yield (body if done < rows else body[:-1]).decode("ascii")
     if fmt == "json":
         yield "]}"
 
@@ -319,43 +318,55 @@ def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
         fh.write("\n")
 
 
+def _column_pieces(g, delta: int, fmt: str) -> Iterator[str]:
+    """The solution-basis columns of the truncation ``g`` = G_l for
+    ``delta``, one piece per column (json adds its head and tail)."""
+    l = g.rows
+    jmin, jmax = column_index_range(l, delta)
+    columns = (solution_column(g, j, delta) for j in range(jmin, jmax + 1))
+    if fmt == "json":
+        yield f'{{"p":{g.p},"l":{l},"delta":{delta},"vectors":['
+        for n, v in enumerate(columns):
+            obj = {"j": (v.source_index + 1) // 2, "column": v.source_index, "values": v.values}
+            yield ("," if n else "") + _json_dumps(obj)
+        yield "]}"
+        return
+    lines = (
+        f"j={(v.source_index + 1) // 2} column={v.source_index} values=" + " ".join(map(str, v.values))
+        for v in columns
+    )
+    yield next(lines, "(empty basis)")
+    for line in lines:
+        yield "\n" + line
+
+
 def _cmd_gmatrix(args) -> int:
     p = args.p
     if args.lam is None and args.l is None:
         raise ValueError("gmatrix needs --lambda or --l")
+    shift = 1 if args.plus_i else -1 if args.minus_i else 0
     if args.delta is not None:
         if args.l is None:
             raise ValueError("--delta requires --l")
+        if shift:
+            raise ValueError(f"--delta cannot be combined with {'--plus-i' if shift > 0 else '--minus-i'}")
         if not 0 <= args.delta < args.l:
             raise ValueError(f"need 0 <= delta < l, got delta={args.delta}, l={args.l}")
-        g = g_truncated(p, args.l)
-        jmin, jmax = column_index_range(args.l, args.delta)
-        vectors = [solution_column(g, j, args.delta) for j in range(jmin, jmax + 1)]
-        if args.format == "json":
-            obj = {
-                "p": p,
-                "l": args.l,
-                "delta": args.delta,
-                "vectors": [
-                    {"j": (v.source_index + 1) // 2, "column": v.source_index, "values": list(v.values)}
-                    for v in vectors
-                ],
-            }
-            _emit(_json_dumps(obj), args.out)
-        else:
-            lines = [
-                f"j={(v.source_index + 1) // 2} column={v.source_index} values=" + " ".join(map(str, v.values))
-                for v in vectors
-            ]
-            _emit("\n".join(lines) if lines else "(empty basis)", args.out)
+        _emit_pieces(_column_pieces(g_truncated(p, args.l), args.delta, args.format), args.out)
         return 0
 
-    mat = g_truncated(p, args.l) if args.l is not None else build_g_kron(p, args.lam)
-    if args.plus_i:
-        mat = mat + MatrixFp.identity(p, mat.rows)
-    elif args.minus_i:
-        mat = mat - MatrixFp.identity(p, mat.rows)
-    _emit_pieces(_matrix_chunks(mat, args.format), args.out)
+    lam = args.lam if args.l is None else min_level(p, args.l)
+    n = _checked_order(p, lam)
+    size = n if args.l is None else args.l
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start, block in _g_rows(p, lam, size):
+            if shift:
+                diag = np.arange(len(block))
+                block[diag, start + diag] = (block[diag, start + diag] + shift) % p
+            yield block
+
+    _emit_pieces(_matrix_chunks(p, size, size, blocks(), args.format), args.out)
     return 0
 
 

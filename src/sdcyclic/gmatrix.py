@@ -6,7 +6,10 @@ The square matrix of order p^lam whose (i, j) entry is
 ``F[x]/((x-1)^(p^lam))``.  This module builds it two independent ways
 (entry formula vs. Kronecker recursion), truncates it to leading l x l
 blocks, and slices out the odd-indexed columns of ``G_l + I_l`` whose
-truncations span the fixed-point spaces of the transform.
+truncations span the fixed-point spaces of the transform.  The
+Kronecker route is a row kernel, ``_g_rows``, that yields the leading
+rows and columns a block of rows at a time, so a caller that consumes
+the rows as they come never holds the whole matrix.
 
 Matrices are dense ``int64`` arrays with entries reduced into ``[0, p)``
 and are immutable after construction.
@@ -23,6 +26,8 @@ from .fieldcore import is_prime
 
 # Hard stop for p^lam; full enumeration is long infeasible before this.
 DEFAULT_SIZE_CAP = 2048
+# The row kernel yields at most this many rows at a time.
+MATRIX_BLOCK_ROWS = 64
 
 
 class MatrixFp:
@@ -94,7 +99,7 @@ class MatrixFp:
         return f"MatrixFp(p={self.p}, shape={self.data.shape})"
 
 
-def _checked_order(p: int, lam: int, cap: int) -> int:
+def _checked_order(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> int:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if lam < 0:
@@ -124,17 +129,52 @@ def kron(a: MatrixFp, b: MatrixFp) -> MatrixFp:
     return MatrixFp(a.p, np.kron(a.data, b.data))
 
 
-def build_g_kron(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
-    """Order-p^lam reciprocal matrix by folding Kronecker products of the
-    order-p one; equals :func:`build_g_direct` entrywise."""
-    _checked_order(p, lam, cap)
+def _g_rows(p: int, lam: int, size: int, cap: int = DEFAULT_SIZE_CAP):
+    """Yields ``(start, block)``: rows ``start`` to ``start + len(block)``
+    of the leading ``size x size`` part of G_(p^lam), at most
+    ``MATRIX_BLOCK_ROWS`` rows a block, as fresh writable int64 residues.
+    The arguments must have passed ``_checked_order``, with
+    ``size <= p^lam``.  At lam = 1 a block is one gather from the Pascal
+    table and a sign mask.  Above, G_(p^lam) = G_p (x) G_(p^(lam-1)), so
+    a block within the rows of one top digit t is
+    ``G_p[t] (x) G_(p^(lam-1))[rows]``, with the small factor read from
+    the cache of full matrices."""
     if lam == 0:
-        return MatrixFp(p, [[1]])
-    base = build_g_direct(p, 1, cap=cap)
-    out = base
-    for _ in range(lam - 1):
-        out = kron(base, out)
-    return out
+        yield 0, np.ones((1, 1), dtype=np.int64)
+        return
+    n = p**lam
+    if lam == 1:
+        cols = np.arange(size)
+        for start in range(0, size, MATRIX_BLOCK_ROWS):
+            rows = np.arange(start, min(start + MATRIX_BLOCK_ROWS, size))
+            # entry (i, j), 0-based: (-1)^j C(n - 1 - j, (i - j) mod n)
+            block = _binom_grid(p, n - 1 - cols, (rows[:, None] - cols) % n, 1)
+            block[:, 1::2] = (p - block[:, 1::2]) % p
+            yield start, block
+        return
+    g_p = _g_full(p, 1, cap).data
+    inner = _g_full(p, lam - 1, cap).data
+    m = n // p
+    digits = -(-size // m)  # top digits of the columns kept
+    start = 0
+    while start < size:
+        t, r = divmod(start, m)
+        stop = min(start + MATRIX_BLOCK_ROWS, size, (t + 1) * m)
+        block = np.kron(g_p[t, :digits], inner[r : r + stop - start]) % p
+        yield start, block[:, :size]
+        start = stop
+
+
+def build_g_kron(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
+    """Order-p^lam reciprocal matrix as the Kronecker power of the
+    order-p one, filled block by block from ``_g_rows``; equals
+    :func:`build_g_direct` entrywise."""
+    n = _checked_order(p, lam, cap)
+    out = np.empty((n, n), dtype=np.int64)
+    for start, block in _g_rows(p, lam, n, cap):
+        out[start : start + len(block)] = block
+    out.setflags(write=False)
+    return MatrixFp._view(p, out)
 
 
 def truncate_g(g: MatrixFp, l: int) -> MatrixFp:
@@ -149,6 +189,8 @@ def truncate_g(g: MatrixFp, l: int) -> MatrixFp:
 
 def min_level(p: int, l: int) -> int:
     """Least lam >= 1 with l <= p^lam."""
+    if p < 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
     if l < 1:
         raise ValueError(f"length must be >= 1, got {l}")
     lam, n = 1, p

@@ -41,6 +41,7 @@ from sdcyclic import (
     min_level,
 )
 from sdcyclic.chainring import _check_int64, _gen_arrays, _reduction_rows
+from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS
 from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD, _from_array, _to_array
 
 # ---------------------------------------------------------------------------
@@ -236,9 +237,17 @@ def iter_span(basis: SolutionBasis) -> Iterator[tuple[FqElem, ...]]:
 # gmatrix output as one string
 
 
+def _chunks(mat: MatrixFp, fmt: str) -> Iterator[str]:
+    """``mat`` through the gmatrix renderer, in blocks of the rows the
+    row kernel yields at a time."""
+    step = MATRIX_BLOCK_ROWS
+    blocks = (mat.data[start : start + step] for start in range(0, mat.rows, step))
+    return cli._matrix_chunks(mat.p, mat.rows, mat.cols, blocks, fmt)
+
+
 def matrix_text(mat: MatrixFp) -> str:
-    return "".join(cli._matrix_chunks(mat, "text"))
+    return "".join(_chunks(mat, "text"))
 
 
 def matrix_json(mat: MatrixFp) -> str:
-    return "".join(cli._matrix_chunks(mat, "json"))
+    return "".join(_chunks(mat, "json"))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from sdcyclic import (
     MatrixFp,
     RIdealGens,
     build_code,
+    build_g_direct,
     build_g_kron,
     classify_cases,
     cli,
@@ -21,10 +23,12 @@ from sdcyclic import (
     descriptor_count,
     find_irreducible,
     g_truncated,
+    gmatrix,
     is_self_dual,
     sample_codes,
     to_negacyclic,
 )
+from sdcyclic.binomial import _pascal_table
 from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
 from sdcyclic.enumerator import _count_digits
 from sdcyclic.fieldcore import MAX_EXTENSION_DEGREE
@@ -594,6 +598,63 @@ def test_gmatrix_json_equals_entry_list(capsys):
         assert status == 0 and out == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
+# (p, lambda) of the matrices whose leading l x l parts `--l` prints below
+_L_LEVELS = [(3, 6), (5, 4), (13, 2)]
+
+
+@pytest.mark.parametrize("p,lam", _L_LEVELS)
+def test_gmatrix_l_equals_the_dense_truncation(capsys, p, lam):
+    """`--l` at block edges (63, 64, 65), digit edges (p^(lambda-1) +- 1)
+    and the full order, with each shift in text and json, against the
+    per-entry formatter and the json of the dense matrix."""
+    n, g = p**lam, build_g_direct(p, lam).data
+    for l in sorted({1, 63, 64, 65, n // p - 1, n // p, n // p + 1, n - 1, n}):
+        for flag, shift in (((), 0), (("--plus-i",), 1), (("--minus-i",), -1)):
+            mat = MatrixFp(p, g[:l, :l] + shift * np.eye(l, dtype=np.int64))
+            argv = ("gmatrix", "-p", str(p), "--l", str(l), *flag)
+            status, out, _ = run(capsys, *argv)
+            assert status == 0 and out == _matrix_text_per_entry(mat) + "\n", (l, flag)
+            status, out, _ = run(capsys, *argv, "--format", "json")
+            obj = {"p": p, "rows": l, "cols": l, "entries": mat.data.tolist()}
+            assert status == 0 and out == json.dumps(obj, separators=(",", ":")) + "\n", (l, flag)
+
+
+@pytest.mark.parametrize("flag", ["--plus-i", "--minus-i"])
+def test_gmatrix_delta_refuses_a_shift(capsys, flag):
+    status, out, err = run(capsys, "gmatrix", "-p", "3", "--l", "8", "--delta", "2", flag)
+    assert status == 2 and out == ""
+    assert err == f"error: --delta cannot be combined with {flag}\n"
+
+
+def test_gmatrix_refuses_a_modulus_below_two_at_once(capsys):
+    start = time.perf_counter()
+    status, out, err = run(capsys, "gmatrix", "-p", "1", "--l", "5")
+    assert time.perf_counter() - start < 2
+    assert status == 2 and out == "" and "odd prime" in err
+
+
+# traced peak of `gmatrix ... --out FILE` with cold caches: 24.2, 104.6
+# and 9.9 MB in turn for the dense builder (commit 2b2150d)
+_GMATRIX_PEAKS = [
+    ("-p", "1021", "--lambda", "1", "--format", "json"),
+    ("-p", "43", "--lambda", "2", "--minus-i", "--format", "json"),
+    ("-p", "3", "--l", "650", "--delta", "113", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", _GMATRIX_PEAKS, ids=" ".join)
+def test_gmatrix_never_holds_more_than_a_few_blocks(tmp_path, argv):
+    for cache in (_pascal_table, gmatrix._g_full, g_truncated):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        assert dispatch(["gmatrix", *argv, "--out", str(tmp_path / "g.txt")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+
+
 def test_gmatrix_lambda_and_l_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["gmatrix", "-p", "3", "--lambda", "2", "--l", "5"])
@@ -826,14 +887,15 @@ _GMATRIX_DIGESTS = {
 
 @pytest.mark.parametrize("rows,fmt", sorted(_GMATRIX_DIGESTS))
 def test_row_blocks_equal_the_one_grid_output(tmp_path, capsys, rows, fmt):
-    assert cli.MATRIX_BLOCK_ROWS == 64
+    assert gmatrix.MATRIX_BLOCK_ROWS == 64
     status, out, _ = run(capsys, "gmatrix", "-p", "131", "--l", str(rows), "--format", fmt)
     assert status == 0 and hashlib.sha256(out.encode()).hexdigest() == _GMATRIX_DIGESTS[rows, fmt]
     path = tmp_path / "g.txt"
     status, printed, _ = run(capsys, "gmatrix", "-p", "131", "--l", str(rows), "--format", fmt, "--out", str(path))
     assert status == 0 and printed == "" and path.read_bytes() == out.encode()
     mat = g_truncated(131, rows)
-    pieces = list(cli._matrix_chunks(mat, fmt))
+    blocks = (block for _, block in gmatrix._g_rows(131, 1, rows))
+    pieces = list(cli._matrix_chunks(131, rows, rows, blocks, fmt))
     assert len(pieces) == -(-rows // 64) + (2 if fmt == "json" else 0)
     if fmt == "text":
         assert "".join(pieces) == _matrix_text_per_entry(mat)

@@ -14,6 +14,8 @@ from sdcyclic import (
     solution_column,
     truncate_g,
 )
+from sdcyclic.fieldcore import is_prime
+from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS, _g_rows
 
 from oracles import rref_rank
 
@@ -229,3 +231,50 @@ def test_matrix_validation():
         MatrixFp(3, [[1]]) @ MatrixFp(5, [[1]])
     m = MatrixFp(3, [[-1, 4], [3, 5]])
     assert m.data.tolist() == [[2, 1], [0, 2]]
+
+
+# -- the row kernel against the entry formula
+
+KERNEL_RANGE = sorted(
+    {(p, 1) for p in range(3, 60, 2) if is_prime(p)}
+    | {(3, lam) for lam in range(7)}
+    | {(5, lam) for lam in range(5)}
+    | {(7, lam) for lam in range(4)}
+    | {(11, 3), (43, 2)}
+)
+
+
+def _kernel_rows(p, lam, size):
+    """The kernel's blocks stacked, after checking their shape: each
+    starts where the last one stopped, is a fresh writable int64 array of
+    at most MATRIX_BLOCK_ROWS rows and ``size`` columns, and keeps to the
+    rows of one top digit."""
+    parts, expect = [], 0
+    top = p ** max(lam - 1, 0)
+    for start, block in _g_rows(p, lam, size):
+        assert start == expect and 1 <= len(block) <= MATRIX_BLOCK_ROWS
+        assert block.shape[1] == size and block.dtype == np.int64 and block.flags.writeable
+        if lam >= 2:
+            assert start // top == (start + len(block) - 1) // top
+        parts.append(block.copy())
+        expect = start + len(block)
+    assert expect == size
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("p,lam", KERNEL_RANGE)
+def test_row_kernel_equals_direct(p, lam):
+    n = p**lam
+    direct = build_g_direct(p, lam).data
+    assert np.array_equal(_kernel_rows(p, lam, n), direct)
+    assert np.array_equal(build_g_kron(p, lam).data, direct)
+    # leading truncations, on and next to the block and digit edges
+    for size in {1, 63, 64, 65, n // p - 1, n // p, n // p + 1, n - 1}:
+        if 1 <= size < n:
+            assert np.array_equal(_kernel_rows(p, lam, size), direct[:size, :size]), size
+
+
+def test_min_level_refuses_a_modulus_below_two():
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match="odd prime"):
+            min_level(p, 5)
