@@ -25,23 +25,8 @@ from .enumerator import (
     to_negacyclic,
 )
 from .fieldcore import FieldSpec, FqElem, find_irreducible, is_prime
-from .gmatrix import (
-    MatrixFp,
-    SolutionColumn,
-    build_g_direct,
-    build_g_kron,
-    g_truncated,
-    kron,
-    min_level,
-    solution_column,
-    truncate_g,
-)
-from .reciprocal import (
-    SolutionBasis,
-    XPoly,
-    basis_convert,
-    solution_basis,
-)
+from .gmatrix import build_g_direct, build_g_kron, g_truncated, min_level, solution_column
+from .reciprocal import XPoly, basis_convert, solution_basis
 
 __version__ = "0.1.0"
 
@@ -50,12 +35,9 @@ __all__ = [
     "CodeSpec",
     "FieldSpec",
     "FqElem",
-    "MatrixFp",
     "RElem",
     "RIdealGens",
     "RVector",
-    "SolutionBasis",
-    "SolutionColumn",
     "XPoly",
     "basis_convert",
     "binom_mod_p",
@@ -73,12 +55,10 @@ __all__ = [
     "is_prime",
     "is_self_dual",
     "is_self_orthogonal",
-    "kron",
     "min_level",
     "sample_codes",
     "solution_basis",
     "solution_column",
     "span_dimension",
     "to_negacyclic",
-    "truncate_g",
 ]

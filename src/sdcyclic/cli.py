@@ -47,7 +47,7 @@ from .enumerator import (
     to_negacyclic,
 )
 from .fieldcore import FieldSpec, FqElem
-from .gmatrix import _checked_order, _g_rows, column_index_range, g_truncated, min_level, solution_column
+from .gmatrix import _checked_order, _g_rows, _solution_basis, column_index_range, min_level
 from .reciprocal import XM1_TO_STD, basis_convert
 
 
@@ -275,6 +275,9 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     checked against the reconstruction.  Returns the cyclic code and the
     generators in the stored ring (cyclic or negacyclic)."""
     p, m, s = obj["p"], obj["m"], obj["s"]
+    ring_sign = obj.get("ring_sign", 1)
+    if type(ring_sign) is not int or ring_sign not in (1, -1):
+        raise ValueError(f"ring_sign must be 1 or -1, got {ring_sign!r}")
     field = _code_field(p, m, s)
     match = [
         d
@@ -284,7 +287,7 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     if not match:
         raise ValueError(f"no case {obj['case']!r} with nu={obj['nu']}, k={obj['k']} for p={p}, s={s}")
     code = build_code(match[0], [field.element(a) for a in obj["params"]], field)
-    gens = code.generators if obj.get("ring_sign", 1) == 1 else to_negacyclic(code)
+    gens = code.generators if ring_sign == 1 else to_negacyclic(code)
     stored = []
     for g in obj["generators"]:
         apart = _poly_from_obj(field, g["a"])
@@ -318,23 +321,19 @@ def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
         fh.write("\n")
 
 
-def _column_pieces(g, delta: int, fmt: str) -> Iterator[str]:
-    """The solution-basis columns of the truncation ``g`` = G_l for
-    ``delta``, one piece per column (json adds its head and tail)."""
-    l = g.rows
-    jmin, jmax = column_index_range(l, delta)
-    columns = (solution_column(g, j, delta) for j in range(jmin, jmax + 1))
+def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
+    """The solution-basis columns of G_l for ``delta``, one piece per
+    column (json adds its head and tail)."""
+    basis = _solution_basis(p, l, delta)
+    jmin = column_index_range(l, delta)[0]
+    columns = ((j, col.tolist()) for j, col in enumerate(basis.T, jmin))
     if fmt == "json":
-        yield f'{{"p":{g.p},"l":{l},"delta":{delta},"vectors":['
-        for n, v in enumerate(columns):
-            obj = {"j": (v.source_index + 1) // 2, "column": v.source_index, "values": v.values}
-            yield ("," if n else "") + _json_dumps(obj)
+        yield f'{{"p":{p},"l":{l},"delta":{delta},"vectors":['
+        for n, (j, values) in enumerate(columns):
+            yield ("," if n else "") + _json_dumps({"j": j, "column": 2 * j - 1, "values": values})
         yield "]}"
         return
-    lines = (
-        f"j={(v.source_index + 1) // 2} column={v.source_index} values=" + " ".join(map(str, v.values))
-        for v in columns
-    )
+    lines = (f"j={j} column={2 * j - 1} values=" + " ".join(map(str, values)) for j, values in columns)
     yield next(lines, "(empty basis)")
     for line in lines:
         yield "\n" + line
@@ -350,9 +349,7 @@ def _cmd_gmatrix(args) -> int:
             raise ValueError("--delta requires --l")
         if shift:
             raise ValueError(f"--delta cannot be combined with {'--plus-i' if shift > 0 else '--minus-i'}")
-        if not 0 <= args.delta < args.l:
-            raise ValueError(f"need 0 <= delta < l, got delta={args.delta}, l={args.l}")
-        _emit_pieces(_column_pieces(g_truncated(p, args.l), args.delta, args.format), args.out)
+        _emit_pieces(_column_pieces(p, args.l, args.delta, args.format), args.out)
         return 0
 
     lam = args.lam if args.l is None else min_level(p, args.l)

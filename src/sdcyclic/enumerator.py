@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 from ._numpy import np
 from .chainring import RIdealGens, RVector
 from .fieldcore import FieldSpec, FqElem, find_irreducible, is_prime
-from .gmatrix import DEFAULT_SIZE_CAP, _checked_order, column_index_range
+from .gmatrix import _checked_order, column_index_range
 from .reciprocal import XM1_TO_STD, XPoly, _conv_matrix, _from_array, solution_basis
 
 CASE_K0 = "k0"
@@ -100,7 +100,7 @@ def _code_families(p: int, s: int) -> list[CaseDescriptor]:
     N = p^s needs N x N matrices, so a length above the matrix size cap
     is refused before the (N - 1)/2 families are listed."""
     _validate_ps(p, s)
-    _checked_order(p, s, DEFAULT_SIZE_CAP)
+    _checked_order(p, s)
     return classify_cases(p, s)
 
 
@@ -110,7 +110,7 @@ def _code_field(p: int, m: int, s: int) -> FieldSpec:
     modulus search can scan about p candidates (at 4 | m and p = 3 mod 4
     no x^m + c is irreducible)."""
     _validate_ps(p, s)
-    _checked_order(p, s, DEFAULT_SIZE_CAP)
+    _checked_order(p, s)
     return find_irreducible(p, m)
 
 
@@ -154,20 +154,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 # visits families one after another and needs one plan at a time.
 @lru_cache(maxsize=4)
 def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
-    n = _checked_order(desc.p, desc.s, DEFAULT_SIZE_CAP)
+    n = _checked_order(desc.p, desc.s)
     k, l, delta = desc.k, desc.l, desc.delta
-    if l > 0:
-        basis = solution_basis(field, l, delta)
-        cols = np.array([v.values for v in basis.vectors], dtype=np.int64)
-        cols = cols.reshape(basis.dimension, l - delta).T
-    else:
-        cols = np.zeros((0, 0), dtype=np.int64)
+    cols = solution_basis(field, l, delta) if l > 0 else _read_only(np.zeros((0, 0), dtype=np.int64))
     conv = _conv_matrix(field.p, n, XM1_TO_STD)
     # (x-1)^j in standard coordinates is column j of the conversion matrix
     u = np.outer(conv[:, k], field.one())
     second = np.outer(conv[:, n - k], field.one()) if k > 0 else None
     return _FamilyPlan(
-        _read_only(cols),
+        cols,
         conv[:, k + 1 + delta : k + 1 + l],
         _read_only(u),
         None if second is None else _read_only(second),

@@ -188,10 +188,6 @@ class FieldSpec:
     def one(self) -> FqElem:
         return (1,) + (0,) * (self.m - 1)
 
-    def from_int(self, n: int) -> FqElem:
-        """Embed an integer through the prime subfield."""
-        return (n % self.p,) + (0,) * (self.m - 1)
-
     def element(self, coeffs: Iterable[int]) -> FqElem:
         """Build an element from up to m coefficients, reducing mod p."""
         vals = [c % self.p for c in coeffs]
@@ -204,10 +200,6 @@ class FieldSpec:
     def add(self, a: FqElem, b: FqElem) -> FqElem:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a: FqElem, b: FqElem) -> FqElem:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a: FqElem) -> FqElem:
         p = self.p
@@ -229,11 +221,6 @@ class FieldSpec:
                 for i, r in enumerate(red):
                     out[i] += c * r
         return tuple(v % p for v in out)
-
-    def scale(self, c: int, a: FqElem) -> FqElem:
-        """Multiply by an F_p scalar (prime-subfield action)."""
-        p = self.p
-        return tuple((c * x) % p for x in a)
 
     def pow(self, a: FqElem, e: int) -> FqElem:
         if e < 0:

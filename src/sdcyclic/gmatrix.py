@@ -6,18 +6,18 @@ The square matrix of order p^lam whose (i, j) entry is
 ``F[x]/((x-1)^(p^lam))``.  This module builds it two independent ways
 (entry formula vs. Kronecker recursion), truncates it to leading l x l
 blocks, and slices out the odd-indexed columns of ``G_l + I_l`` whose
-truncations span the fixed-point spaces of the transform.  The
+truncations span the fixed-point spaces of the transform
+(``_solution_basis``, the one place those columns are cut).  The
 Kronecker route is a row kernel, ``_g_rows``, that yields the leading
 rows and columns a block of rows at a time, so a caller that consumes
 the rows as they come never holds the whole matrix.
 
-Matrices are dense ``int64`` arrays with entries reduced into ``[0, p)``
-and are immutable after construction.
+Matrices and solution bases are plain read-only ``int64`` arrays with
+entries reduced into ``[0, p)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._numpy import np
@@ -25,111 +25,36 @@ from .binomial import _binom_grid
 from .fieldcore import is_prime
 
 # Hard stop for p^lam; full enumeration is long infeasible before this.
-DEFAULT_SIZE_CAP = 2048
+SIZE_CAP = 2048
 # The row kernel yields at most this many rows at a time.
 MATRIX_BLOCK_ROWS = 64
 
 
-class MatrixFp:
-    """Dense matrix over F_p; entries are int64 residues in [0, p)."""
-
-    __slots__ = ("p", "data")
-
-    def __init__(self, p: int, data):
-        if p < 2 or not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
-        arr = np.array(data, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        arr %= p
-        arr.setflags(write=False)
-        self.p = p
-        self.data = arr
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def _view(cls, p: int, arr: np.ndarray) -> "MatrixFp":
-        """Wrap a read-only array of residues already in [0, p) without
-        copying it."""
-        out = cls.__new__(cls)
-        out.p = p
-        out.data = arr
-        return out
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "MatrixFp":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    def _check_compatible(self, other: "MatrixFp") -> None:
-        if not isinstance(other, MatrixFp):
-            raise TypeError(f"expected MatrixFp, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ValueError(f"mismatched characteristic: {self.p} vs {other.p}")
-
-    def __add__(self, other: "MatrixFp") -> "MatrixFp":
-        self._check_compatible(other)
-        return MatrixFp(self.p, self.data + other.data)
-
-    def __sub__(self, other: "MatrixFp") -> "MatrixFp":
-        self._check_compatible(other)
-        return MatrixFp(self.p, self.data - other.data)
-
-    def __matmul__(self, other: "MatrixFp") -> "MatrixFp":
-        self._check_compatible(other)
-        return MatrixFp(self.p, self.data @ other.data)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixFp)
-            and self.p == other.p
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
-
-    __hash__ = None  # mutable-size payload; not meant for hashing
-
-    def __repr__(self) -> str:
-        return f"MatrixFp(p={self.p}, shape={self.data.shape})"
-
-
-def _checked_order(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> int:
+def _checked_order(p: int, lam: int) -> int:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if lam < 0:
         raise ValueError(f"level must be >= 0, got {lam}")
     n = p**lam
-    if n > cap:
-        raise ValueError(f"p**lam = {n} exceeds size cap {cap}")
+    if n > SIZE_CAP:
+        raise ValueError(f"p**lam = {n} exceeds size cap {SIZE_CAP}")
     return n
 
 
-def build_g_direct(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
+def build_g_direct(p: int, lam: int) -> np.ndarray:
     """Order-p^lam reciprocal matrix straight from the entry formula of
     ``binomial.g_entry``, all entries at once.  Entry (i, j) is
     C(n - j, (i - j) mod n) with the sign (-1)^(j-1): above the diagonal
     (i - j) mod n = n + i - j exceeds n - j, so the binomial is 0 there."""
-    n = _checked_order(p, lam, cap)
+    n = _checked_order(p, lam)
     idx = np.arange(1, n + 1, dtype=np.int32)
     arr = _binom_grid(p, n - idx[None, :], (idx[:, None] - idx[None, :]) % n, max(lam, 1))
     arr[:, 1::2] = (p - arr[:, 1::2]) % p
     arr.setflags(write=False)
-    return MatrixFp._view(p, arr)
+    return arr
 
 
-def kron(a: MatrixFp, b: MatrixFp) -> MatrixFp:
-    """Kronecker product: the block matrix (a_ij * b)."""
-    a._check_compatible(b)
-    return MatrixFp(a.p, np.kron(a.data, b.data))
-
-
-def _g_rows(p: int, lam: int, size: int, cap: int = DEFAULT_SIZE_CAP):
+def _g_rows(p: int, lam: int, size: int):
     """Yields ``(start, block)``: rows ``start`` to ``start + len(block)``
     of the leading ``size x size`` part of G_(p^lam), at most
     ``MATRIX_BLOCK_ROWS`` rows a block, as fresh writable int64 residues.
@@ -152,8 +77,8 @@ def _g_rows(p: int, lam: int, size: int, cap: int = DEFAULT_SIZE_CAP):
             block[:, 1::2] = (p - block[:, 1::2]) % p
             yield start, block
         return
-    g_p = _g_full(p, 1, cap).data
-    inner = _g_full(p, lam - 1, cap).data
+    g_p = _g_full(p, 1)
+    inner = _g_full(p, lam - 1)
     m = n // p
     digits = -(-size // m)  # top digits of the columns kept
     start = 0
@@ -165,26 +90,16 @@ def _g_rows(p: int, lam: int, size: int, cap: int = DEFAULT_SIZE_CAP):
         start = stop
 
 
-def build_g_kron(p: int, lam: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
+def build_g_kron(p: int, lam: int) -> np.ndarray:
     """Order-p^lam reciprocal matrix as the Kronecker power of the
     order-p one, filled block by block from ``_g_rows``; equals
     :func:`build_g_direct` entrywise."""
-    n = _checked_order(p, lam, cap)
+    n = _checked_order(p, lam)
     out = np.empty((n, n), dtype=np.int64)
-    for start, block in _g_rows(p, lam, n, cap):
+    for start, block in _g_rows(p, lam, n):
         out[start : start + len(block)] = block
     out.setflags(write=False)
-    return MatrixFp._view(p, out)
-
-
-def truncate_g(g: MatrixFp, l: int) -> MatrixFp:
-    """Upper-left l x l block, as a read-only view of ``g``;
-    lower-triangularity is preserved."""
-    if g.rows != g.cols:
-        raise ValueError("truncation requires a square matrix")
-    if not 1 <= l <= g.rows:
-        raise ValueError(f"need 1 <= l <= {g.rows}, got {l}")
-    return MatrixFp._view(g.p, g.data[:l, :l])
+    return out
 
 
 def min_level(p: int, l: int) -> int:
@@ -203,43 +118,19 @@ def min_level(p: int, l: int) -> int:
 # Every level one length under the size cap uses (3^6 <= 2048 < 3^7), so
 # a stream never builds a level twice.
 @lru_cache(maxsize=6)
-def _g_full(p: int, lam: int, cap: int) -> MatrixFp:
+def _g_full(p: int, lam: int) -> np.ndarray:
     """The full order-p^lam matrix, built once per level."""
-    return build_g_kron(p, lam, cap=cap)
+    return build_g_kron(p, lam)
 
 
 # Each entry is a view that keeps its full matrix alive, so this cache is
 # bounded too: bounding ``_g_full`` alone would free nothing.
 @lru_cache(maxsize=6)
-def g_truncated(p: int, l: int, cap: int = DEFAULT_SIZE_CAP) -> MatrixFp:
+def g_truncated(p: int, l: int) -> np.ndarray:
     """G_l: the l x l truncation of the minimal covering reciprocal matrix
     (lam recomputed as the least level with l <= p^lam).  Cached; every
     truncation is a read-only view of the one full matrix of its level."""
-    return truncate_g(_g_full(p, min_level(p, l), cap), l)
-
-
-@dataclass(frozen=True)
-class SolutionColumn:
-    """One odd-indexed column of G_l + I_l, restricted to rows
-    delta+1..l (1-indexed).  These slices are the basis vectors of the
-    truncated fixed-point spaces of the reciprocal transform.
-
-    values: the F_p residues, length l - delta.
-    source_index: the odd column index 2j - 1 it was cut from.
-    delta: truncation offset (0 when untruncated).
-    l: ambient matrix size.
-    """
-
-    values: tuple[int, ...]
-    source_index: int
-    delta: int
-    l: int
-
-    def __post_init__(self):
-        if len(self.values) != self.l - self.delta:
-            raise ValueError("column slice has wrong length")
-        if self.source_index % 2 != 1 or not 1 <= self.source_index <= self.l:
-            raise ValueError(f"source index must be odd in [1, {self.l}], got {self.source_index}")
+    return _g_full(p, min_level(p, l))[:l, :l]
 
 
 def column_index_range(l: int, delta: int) -> tuple[int, int]:
@@ -248,18 +139,27 @@ def column_index_range(l: int, delta: int) -> tuple[int, int]:
     return (delta + 1) // 2 + 1, (l + 1) // 2
 
 
-def solution_column(g_l: MatrixFp, j: int, delta: int = 0) -> SolutionColumn:
-    """Rows delta+1..l of column 2j-1 of G_l + I_l."""
-    if g_l.rows != g_l.cols:
-        raise ValueError("expected the square truncated matrix G_l")
-    l = g_l.rows
+def _solution_basis(p: int, l: int, delta: int) -> np.ndarray:
+    """Rows delta+1..l of the odd columns 2j-1 of G_l + I_l (1-indexed),
+    for every j of ``column_index_range(l, delta)``, as the columns of a
+    read-only (l - delta) x dim array.  The identity adds 1 where column
+    2j-1 meets its own row, which is always at or below row delta+1."""
     if not 0 <= delta < l:
-        raise ValueError(f"need 0 <= delta < {l}, got {delta}")
+        raise ValueError(f"need 0 <= delta < l, got delta={delta}, l={l}")
+    jmin, jmax = column_index_range(l, delta)
+    cols = np.arange(2 * jmin - 2, 2 * jmax - 1, 2)  # 0-based 2j-2
+    out = g_truncated(p, l)[delta:, cols]
+    diag = cols - delta, np.arange(len(cols))
+    out[diag] = (out[diag] + 1) % p
+    out.setflags(write=False)
+    return out
+
+
+def solution_column(p: int, l: int, j: int, delta: int = 0) -> np.ndarray:
+    """Rows delta+1..l of column 2j-1 of G_l + I_l: column j - jmin of
+    the solution basis, read-only."""
+    basis = _solution_basis(p, l, delta)
     jmin, jmax = column_index_range(l, delta)
     if not jmin <= j <= jmax:
         raise ValueError(f"need {jmin} <= j <= {jmax} for delta={delta}, l={l}, got j={j}")
-    col = 2 * j - 1
-    vals = g_l.data[delta:, col - 1].copy()
-    # the identity contribution lands on the diagonal row, always >= delta+1
-    vals[col - 1 - delta] = (vals[col - 1 - delta] + 1) % g_l.p
-    return SolutionColumn(tuple(vals.tolist()), col, delta, l)
+    return basis[:, j - jmin]

@@ -10,7 +10,9 @@ l <= p^lam, never carried around.
 
 The transform acts on coefficient columns as the truncated reciprocal
 matrix G_l, so its fixed points are the kernel of G_l - I_l, spanned by
-the odd-indexed columns of G_l + I_l (``solution_basis``).
+the odd-indexed columns of G_l + I_l.  ``solution_basis`` returns those
+columns, truncated, as one read-only array over F_p, cut from G_l by
+``gmatrix._solution_basis``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from typing import Sequence
 from ._numpy import np
 from .binomial import _binom_grid
 from .fieldcore import FieldSpec, FqElem
-from .gmatrix import (
-    SolutionColumn,
-    column_index_range,
-    g_truncated,
-    min_level,
-    solution_column,
-)
+from .gmatrix import _solution_basis, min_level
 
 XM1_TO_STD = "xm1_to_std"
 STD_TO_XM1 = "std_to_xm1"
@@ -58,13 +54,6 @@ class XPoly:
         for c in self.coeffs:
             if len(c) != m or any(not 0 <= v < p for v in c):
                 raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
-
-    @classmethod
-    def zero(cls, field: FieldSpec, l: int) -> "XPoly":
-        return cls(field, l, (field.zero(),) * l)
-
-    def is_zero(self) -> bool:
-        return not any(any(c) for c in self.coeffs)
 
 
 def _to_array(coeffs: Sequence[FqElem]) -> np.ndarray:
@@ -103,40 +92,10 @@ def basis_convert(field: FieldSpec, coeffs: Sequence[FqElem], direction: str) ->
     return _from_array((mat @ _to_array(coeffs)) % field.p)
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
-    """Basis of the delta-truncated fixed-point space: the valid
-    odd-indexed column slices of G_l + I_l.  The span over F_{p^m} has
-    exactly (p^m)^dimension elements; dimension may be 0, in which case
-    the span is just the zero vector."""
-
-    field: FieldSpec
-    l: int
-    delta: int
-    vectors: tuple[SolutionColumn, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-    def combine(self, params: Sequence[FqElem]) -> tuple[FqElem, ...]:
-        """The span element sum(params[t] * vectors[t]), length l - delta."""
-        if len(params) != self.dimension:
-            raise ValueError(f"expected {self.dimension} parameters, got {len(params)}")
-        n = self.l - self.delta
-        if not params:
-            return (self.field.zero(),) * n
-        cols = np.array([v.values for v in self.vectors], dtype=np.int64).T  # (n, dim)
-        pmat = _to_array(params)  # (dim, m)
-        return _from_array((cols @ pmat) % self.field.p)
-
-
-def solution_basis(field: FieldSpec, l: int, delta: int = 0) -> SolutionBasis:
-    """Basis vectors for the solutions supported on coefficients
-    delta..l-1; dimension ceil(l/2) - ceil(delta/2)."""
-    if not 0 <= delta < l:
-        raise ValueError(f"need 0 <= delta < l, got delta={delta}, l={l}")
-    g = g_truncated(field.p, l)
-    jmin, jmax = column_index_range(l, delta)
-    vectors = tuple(solution_column(g, j, delta) for j in range(jmin, jmax + 1))
-    return SolutionBasis(field, l, delta, vectors)
+def solution_basis(field: FieldSpec, l: int, delta: int = 0) -> np.ndarray:
+    """The basis of the solutions supported on coefficients delta..l-1,
+    as the columns of a read-only (l - delta) x dim int64 array over F_p,
+    dim = ceil(l/2) - ceil(delta/2).  Its span over F_{p^m} has exactly
+    (p^m)^dim elements; a span element is ``basis @ params % p`` for a
+    (dim, m) parameter array, the zero vector when dim = 0."""
+    return _solution_basis(field.p, l, delta)

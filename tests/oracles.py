@@ -13,13 +13,15 @@
   arithmetic that never touches a matrix (``reciprocal_oracle``), with
   the fixed-point test ``is_solution`` and the brute-force
   ``kernel_oracle``.
-* Every element of a solution basis's span (``iter_span``), and the
-  whole ``gmatrix`` text or json as one string (``matrix_text``,
-  ``matrix_json``).
+* The solution basis cut one column at a time from the entry-formula
+  matrix (``solution_columns_oracle``), every element of the span of a
+  solution-basis array (``iter_span``), and the whole ``gmatrix`` text
+  or json as one string (``matrix_text``, ``matrix_json``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -28,13 +30,12 @@ import numpy as np
 from sdcyclic import (
     FieldSpec,
     FqElem,
-    MatrixFp,
     RElem,
     RIdealGens,
     RVector,
-    SolutionBasis,
     XPoly,
     basis_convert,
+    build_g_direct,
     cli,
     find_irreducible,
     g_truncated,
@@ -148,9 +149,10 @@ def rref(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
     return rows[:r]
 
 
-def rref_rank(mat: MatrixFp) -> int:
-    """Rank over F_p: the number of rows ``rref`` keeps."""
-    return rref(find_irreducible(mat.p, 1), mat.data[:, :, None]).shape[0]
+def rref_rank(p: int, mat: np.ndarray) -> int:
+    """Rank over F_p of an integer matrix: the number of rows ``rref``
+    keeps of its residues."""
+    return rref(find_irreducible(p, 1), (mat % p)[:, :, None]).shape[0]
 
 
 def canonical_form(gens: RIdealGens) -> tuple[tuple[FqElem, ...], ...]:
@@ -173,7 +175,7 @@ def reciprocal_transform(b: XPoly) -> XPoly:
     if b.l == 0:
         return b
     g = g_truncated(b.field.p, b.l)
-    out = (g.data @ _to_array(b.coeffs)) % b.field.p
+    out = (g @ _to_array(b.coeffs)) % b.field.p
     return XPoly(b.field, b.l, _from_array(out))
 
 
@@ -207,7 +209,7 @@ def is_solution(b: XPoly, delta: int = 0) -> bool:
         return True
     g = g_truncated(b.field.p, b.l)
     v = _to_array(b.coeffs)
-    return not (((g.data @ v) - v) % b.field.p).any()
+    return not (((g @ v) - v) % b.field.p).any()
 
 
 def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tuple[FqElem, ...]]:
@@ -218,7 +220,7 @@ def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tup
     if total > guard:
         raise ValueError(f"{total} candidates exceeds the oracle guard {guard}")
     g = g_truncated(field.p, l)
-    gmi = (g.data - np.eye(l, dtype=np.int64)) % field.p
+    gmi = (g - np.eye(l, dtype=np.int64)) % field.p
     out = []
     for combo in itertools.product(field.elements(), repeat=l):
         v = np.array(combo, dtype=np.int64)
@@ -227,27 +229,57 @@ def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tup
     return out
 
 
-def iter_span(basis: SolutionBasis) -> Iterator[tuple[FqElem, ...]]:
-    """Every element of the span, parameters in lexicographic order."""
-    for combo in itertools.product(basis.field.elements(), repeat=basis.dimension):
-        yield basis.combine(combo)
+def iter_span(field: FieldSpec, basis: np.ndarray) -> Iterator[tuple[FqElem, ...]]:
+    """Every element of the span over ``field`` of the columns of a
+    solution-basis array, parameters in lexicographic order; only the
+    zero vector when the basis has no columns."""
+    for combo in itertools.product(field.elements(), repeat=basis.shape[1]):
+        yield span_element(field, basis, combo)
+
+
+def span_element(field: FieldSpec, basis: np.ndarray, params) -> tuple[FqElem, ...]:
+    """sum(params[t] * column t of ``basis``) over ``field``."""
+    arr = np.array(params, dtype=np.int64).reshape(basis.shape[1], field.m)
+    return _from_array(basis @ arr % field.p)
+
+
+@functools.lru_cache(maxsize=2)
+def _direct(p: int, lam: int) -> np.ndarray:
+    return build_g_direct(p, lam)
+
+
+def solution_columns_oracle(p: int, l: int, delta: int) -> np.ndarray:
+    """The solution basis of (l, delta) one column at a time, from the
+    entry-formula matrix: for each odd 1-indexed column c of G_l with
+    delta < c <= l, rows delta+1..l of column c of ``build_g_direct``
+    plus 1 on row c (the identity of G_l + I_l), mod p.  Returns the
+    columns side by side, an (l - delta) x dim array."""
+    g = _direct(p, min_level(p, l))
+    columns = []
+    for c in range(1, l + 1, 2):
+        if c > delta:
+            col = g[delta:l, c - 1].copy()
+            col[c - 1 - delta] = (col[c - 1 - delta] + 1) % p
+            columns.append(col)
+    return np.array(columns, dtype=np.int64).reshape(len(columns), l - delta).T
 
 
 # ---------------------------------------------------------------------------
 # gmatrix output as one string
 
 
-def _chunks(mat: MatrixFp, fmt: str) -> Iterator[str]:
-    """``mat`` through the gmatrix renderer, in blocks of the rows the
-    row kernel yields at a time."""
+def _chunks(p: int, mat: np.ndarray, fmt: str) -> Iterator[str]:
+    """``mat``, residues mod p, through the gmatrix renderer, in blocks
+    of the rows the row kernel yields at a time."""
     step = MATRIX_BLOCK_ROWS
-    blocks = (mat.data[start : start + step] for start in range(0, mat.rows, step))
-    return cli._matrix_chunks(mat.p, mat.rows, mat.cols, blocks, fmt)
+    rows, cols = mat.shape
+    blocks = (mat[start : start + step] for start in range(0, rows, step))
+    return cli._matrix_chunks(p, rows, cols, blocks, fmt)
 
 
-def matrix_text(mat: MatrixFp) -> str:
-    return "".join(_chunks(mat, "text"))
+def matrix_text(p: int, mat: np.ndarray) -> str:
+    return "".join(_chunks(p, mat, "text"))
 
 
-def matrix_json(mat: MatrixFp) -> str:
-    return "".join(_chunks(mat, "json"))
+def matrix_json(p: int, mat: np.ndarray) -> str:
+    return "".join(_chunks(p, mat, "json"))

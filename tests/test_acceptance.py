@@ -7,8 +7,9 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from sdcyclic import (
-    MatrixFp,
     RIdealGens,
     XPoly,
     basis_convert,
@@ -57,8 +58,8 @@ def criterion(number: int, title: str):
 def test_criterion_1_golden_matrices():
     with criterion(1, "reference order-3 and order-9 matrices reproduced exactly"):
         start = time.perf_counter()
-        assert build_g_direct(3, 1) == MatrixFp(3, G3_DISPLAY)
-        assert build_g_kron(3, 2) == MatrixFp(3, G9_DISPLAY)
+        assert np.array_equal(build_g_direct(3, 1), G3_DISPLAY)
+        assert np.array_equal(build_g_kron(3, 2), G9_DISPLAY)
         assert time.perf_counter() - start < 1.0
 
 
@@ -69,14 +70,14 @@ def test_criterion_2_involution_and_ranks():
             lam = 1
             while p**lam <= 343:
                 g = build_g_kron(p, lam)
-                assert g @ g == MatrixFp.identity(p, p**lam), (p, lam)
+                assert np.array_equal(g @ g % p, np.eye(p**lam, dtype=np.int64)), (p, lam)
                 lam += 1
         for p in (3, 5):
             for l in range(1, 126):
                 g = g_truncated(p, l)
-                i = MatrixFp.identity(p, l)
-                assert rref_rank(g - i) == l // 2, (p, l)
-                assert rref_rank(g + i) == (l + 1) // 2, (p, l)
+                i = np.eye(l, dtype=np.int64)
+                assert rref_rank(p, g - i) == l // 2, (p, l)
+                assert rref_rank(p, g + i) == (l + 1) // 2, (p, l)
         assert time.perf_counter() - start < 30.0
 
 
@@ -110,7 +111,7 @@ def test_criterion_4_kernel_and_basis_equivalence():
             field = find_irreducible(p, 1)
             for l in range(1, lmax + 1):
                 brute = set(kernel_oracle(field, l))
-                spanned = set(iter_span(solution_basis(field, l, 0)))
+                spanned = set(iter_span(field, solution_basis(field, l, 0)))
                 assert spanned == brute, (p, l)
         # cardinality law via the rank of the stacked basis vectors
         for p in (3, 5):
@@ -120,10 +121,9 @@ def test_criterion_4_kernel_and_basis_equivalence():
                     for delta in range(l):
                         basis = solution_basis(field, l, delta)
                         dim = (l + 1) // 2 - (delta + 1) // 2
-                        assert basis.dimension == dim
+                        assert basis.shape == (l - delta, dim)
                         if dim:
-                            stacked = MatrixFp(p, [v.values for v in basis.vectors])
-                            assert rref_rank(stacked) == dim, (p, m, l, delta)
+                            assert rref_rank(p, basis.T) == dim, (p, m, l, delta)
                         # hence |span| = (p^m)^dim
 
 
@@ -165,7 +165,7 @@ def test_criterion_6_golden_code_lists():
         assert got == {canonical_form(expect_u), canonical_form(expect_two)}
         # length 9, torsion-free family: reference basis columns and span
         basis = solution_basis(field, 8, 4)
-        assert [v.values for v in basis.vectors] == [(2, 1, 0, 1), (0, 0, 2, 2)]
+        assert basis.T.tolist() == [[2, 1, 0, 1], [0, 0, 2, 2]]
         desc = [d for d in classify_cases(3, 2) if d.k == 0][0]
         for a4, a6 in itertools.product(range(3), repeat=2):
             code = build_code(desc, ((a4,), (a6,)), field)

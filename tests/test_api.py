@@ -52,6 +52,6 @@ def test_every_name_the_tracer_wraps_exists():
 
 def test_all_is_the_readme_list():
     names = _readme_names()
-    assert len(names) == len(set(names)) == 35
+    assert len(names) == len(set(names)) == 30
     assert sorted(sdcyclic.__all__) == sorted(names)
     assert all(hasattr(sdcyclic, name) for name in names)

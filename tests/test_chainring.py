@@ -27,7 +27,7 @@ from oracles import canonical_form, inner_product, orbit_rows, r_add, r_mul, r_n
 
 
 def _relem(field, a, b=0):
-    return (field.from_int(a), field.from_int(b))
+    return (field.element([a]), field.element([b]))
 
 
 def _const_gen(field, n, a, b=0):
@@ -55,7 +55,7 @@ def test_r_mul_examples(f3):
     u = _relem(f3, 0, 1)
     assert r_mul(f3, u, u) == _relem(f3, 0, 0)
     a_plus_ub = _relem(f3, 2, 1)
-    assert r_mul(f3, a_plus_ub, u) == (f3.zero(), f3.from_int(2))  # u * a
+    assert r_mul(f3, a_plus_ub, u) == (f3.zero(), f3.element([2]))  # u * a
 
 
 def test_r_add_neg(f9):
@@ -235,8 +235,8 @@ def _brute_force_dual(gens):
             field=f,
             ring_sign=-1,
             generators=(
-                tuple((f.zero(), c) for c in (f.from_int(2), f.from_int(2), f.zero())),
-                tuple((c, f.zero()) for c in (f.from_int(1), f.from_int(2), f.from_int(1))),
+                tuple((f.zero(), c) for c in (f.element([2]), f.element([2]), f.zero())),
+                tuple((c, f.zero()) for c in (f.element([1]), f.element([2]), f.element([1]))),
             ),
         ),
         True,

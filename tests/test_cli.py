@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sdcyclic import (
-    MatrixFp,
     RIdealGens,
     build_code,
     build_g_direct,
@@ -33,7 +32,7 @@ from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
 from sdcyclic.enumerator import _count_digits
 from sdcyclic.fieldcore import MAX_EXTENSION_DEGREE
 
-from oracles import matrix_json, matrix_text
+from oracles import matrix_json, matrix_text, solution_columns_oracle
 
 
 # -- the per-code renderer the row renderer replaced, kept as its oracle
@@ -119,6 +118,24 @@ def test_gmatrix_basis_columns(capsys):
         "j=3 column=5 values=2 1 0 1",
         "j=4 column=7 values=0 0 2 2",
     ]
+
+
+@pytest.mark.parametrize("p,l,delta", [(3, 2, 1), (3, 8, 0), (3, 8, 7), (3, 9, 8), (5, 600, 0), (5, 600, 299), (5, 601, 600)])
+def test_gmatrix_delta_equals_the_per_column_oracle(capsys, p, l, delta):
+    """`--delta` text and json, from the empty basis (l even, delta l-1)
+    to the full one (delta 0), against the basis cut one column at a time
+    from the entry-formula matrix."""
+    columns = solution_columns_oracle(p, l, delta).T.tolist()
+    odd = [c for c in range(1, l + 1, 2) if c > delta]
+    assert len(odd) == len(columns)
+    lines = [f"j={(c + 1) // 2} column={c} values=" + " ".join(map(str, v)) for c, v in zip(odd, columns)]
+    argv = ("gmatrix", "-p", str(p), "--l", str(l), "--delta", str(delta))
+    status, out, _ = run(capsys, *argv)
+    assert status == 0 and out == "\n".join(lines or ["(empty basis)"]) + "\n"
+    vectors = [{"j": (c + 1) // 2, "column": c, "values": v} for c, v in zip(odd, columns)]
+    obj = {"p": p, "l": l, "delta": delta, "vectors": vectors}
+    status, out, _ = run(capsys, *argv, "--format", "json")
+    assert status == 0 and out == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def test_gmatrix_requires_shape(capsys):
@@ -279,6 +296,20 @@ def test_obj_to_code_rejects_tampered_generators(capsys):
     obj["generators"][0]["a"]["coeffs"][0] = [1]
     with pytest.raises(ValueError):
         obj_to_code(obj)
+
+
+def test_obj_to_code_reads_only_a_ring_sign_of_one_or_minus_one(capsys):
+    _, out, _ = run(capsys, "negacyclic", "-p", "3", "-m", "1", "-s", "2", "--format", "json")
+    obj = json.loads(out.splitlines()[-1])
+    assert obj_to_code(obj)[1].ring_sign == -1
+    for sign in (7, 0, "x", None, True, -1.0, 2):
+        with pytest.raises(ValueError, match="ring_sign must be 1 or -1"):
+            obj_to_code(dict(obj, ring_sign=sign))
+    # a missing key means the cyclic ring
+    _, out, _ = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "2", "--format", "json")
+    cyclic = json.loads(out.splitlines()[-1])
+    del cyclic["ring_sign"]
+    assert obj_to_code(cyclic)[1].ring_sign == 1
 
 
 # -- windows: --offset/--limit unrank the index instead of skipping codes
@@ -555,47 +586,53 @@ def test_verify_all_refuses_a_window(capsys, window):
 
 # -- closed forms: matrix text, counts, refusals -------------------------------
 
-def _matrix_text_per_entry(mat):
+def _matrix_text_per_entry(p, mat):
     """The per-entry formatter that the byte-grid renderer replaced, kept
     as its oracle."""
-    width = max(1, len(str(mat.p - 1)))
-    return "\n".join(" ".join(f"{int(v):>{width}}" for v in row) for row in mat.data)
+    width = max(1, len(str(p - 1)))
+    return "\n".join(" ".join(f"{int(v):>{width}}" for v in row) for row in mat)
+
+
+def _matrix_json(p, mat):
+    obj = {"p": p, "rows": mat.shape[0], "cols": mat.shape[1], "entries": mat.tolist()}
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _eye(n):
+    return np.eye(n, dtype=np.int64)
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 97, 101, 113, 1009, 2039])  # entry widths 1 to 4
 def test_matrix_text_equals_per_entry_formatter(p):
     g = g_truncated(p, min(p, 120))  # the full G_p up to p = 113
-    eye = MatrixFp.identity(p, g.rows)
-    shapes = [g, g + eye, g - eye, g_truncated(p, 1), g_truncated(p, 2), g_truncated(p, g.rows // 2)]
+    n = len(g)
+    shapes = [g, (g + _eye(n)) % p, (g - _eye(n)) % p, g_truncated(p, 1), g_truncated(p, 2), g_truncated(p, n // 2)]
     rng = np.random.default_rng(p)
-    shapes += [MatrixFp(p, rng.integers(0, p, size=(r, c))) for r, c in ((1, 1), (1, 5), (4, 1), (30, 70))]
-    shapes.append(MatrixFp(p, [[0, p - 1], [p - 1, 0]]))
+    shapes += [rng.integers(0, p, size=(r, c)) for r, c in ((1, 1), (1, 5), (4, 1), (30, 70))]
+    shapes.append(np.array([[0, p - 1], [p - 1, 0]]))
     for mat in shapes:
-        assert matrix_text(mat) == _matrix_text_per_entry(mat)
-        obj = {"p": p, "rows": mat.rows, "cols": mat.cols, "entries": mat.data.tolist()}
-        assert matrix_json(mat) == json.dumps(obj, separators=(",", ":"))
+        assert matrix_text(p, mat) == _matrix_text_per_entry(p, mat)
+        assert matrix_json(p, mat) == _matrix_json(p, mat)
 
 
 def test_gmatrix_text_equals_per_entry_formatter(capsys):
-    for argv, mat in [
-        (("--l", "650", "--plus-i"), g_truncated(3, 650) + MatrixFp.identity(3, 650)),
-        (("--lambda", "4", "--minus-i"), build_g_kron(5, 4) - MatrixFp.identity(5, 625)),
-        (("--lambda", "0"), MatrixFp(5, [[1]])),
+    for p, argv, mat in [
+        (3, ("--l", "650", "--plus-i"), (g_truncated(3, 650) + _eye(650)) % 3),
+        (5, ("--lambda", "4", "--minus-i"), (build_g_kron(5, 4) - _eye(625)) % 5),
+        (5, ("--lambda", "0"), np.array([[1]])),
     ]:
-        p = str(mat.p)
-        status, out, _ = run(capsys, "gmatrix", "-p", p, *argv)
-        assert status == 0 and out == _matrix_text_per_entry(mat) + "\n"
+        status, out, _ = run(capsys, "gmatrix", "-p", str(p), *argv)
+        assert status == 0 and out == _matrix_text_per_entry(p, mat) + "\n"
 
 
 def test_gmatrix_json_equals_entry_list(capsys):
     for p, argv, mat in [
-        ("1019", ("--lambda", "1"), build_g_kron(1019, 1)),
-        ("5", ("--lambda", "4", "--minus-i"), build_g_kron(5, 4) - MatrixFp.identity(5, 625)),
-        ("3", ("--lambda", "0"), MatrixFp(3, [[1]])),
+        (1019, ("--lambda", "1"), build_g_kron(1019, 1)),
+        (5, ("--lambda", "4", "--minus-i"), (build_g_kron(5, 4) - _eye(625)) % 5),
+        (3, ("--lambda", "0"), np.array([[1]])),
     ]:
-        status, out, _ = run(capsys, "gmatrix", "-p", p, *argv, "--format", "json")
-        obj = {"p": mat.p, "rows": mat.rows, "cols": mat.cols, "entries": mat.data.tolist()}
-        assert status == 0 and out == json.dumps(obj, separators=(",", ":")) + "\n"
+        status, out, _ = run(capsys, "gmatrix", "-p", str(p), *argv, "--format", "json")
+        assert status == 0 and out == _matrix_json(p, mat) + "\n"
 
 
 # (p, lambda) of the matrices whose leading l x l parts `--l` prints below
@@ -607,16 +644,15 @@ def test_gmatrix_l_equals_the_dense_truncation(capsys, p, lam):
     """`--l` at block edges (63, 64, 65), digit edges (p^(lambda-1) +- 1)
     and the full order, with each shift in text and json, against the
     per-entry formatter and the json of the dense matrix."""
-    n, g = p**lam, build_g_direct(p, lam).data
+    n, g = p**lam, build_g_direct(p, lam)
     for l in sorted({1, 63, 64, 65, n // p - 1, n // p, n // p + 1, n - 1, n}):
         for flag, shift in (((), 0), (("--plus-i",), 1), (("--minus-i",), -1)):
-            mat = MatrixFp(p, g[:l, :l] + shift * np.eye(l, dtype=np.int64))
+            mat = (g[:l, :l] + shift * _eye(l)) % p
             argv = ("gmatrix", "-p", str(p), "--l", str(l), *flag)
             status, out, _ = run(capsys, *argv)
-            assert status == 0 and out == _matrix_text_per_entry(mat) + "\n", (l, flag)
+            assert status == 0 and out == _matrix_text_per_entry(p, mat) + "\n", (l, flag)
             status, out, _ = run(capsys, *argv, "--format", "json")
-            obj = {"p": p, "rows": l, "cols": l, "entries": mat.data.tolist()}
-            assert status == 0 and out == json.dumps(obj, separators=(",", ":")) + "\n", (l, flag)
+            assert status == 0 and out == _matrix_json(p, mat) + "\n", (l, flag)
 
 
 @pytest.mark.parametrize("flag", ["--plus-i", "--minus-i"])
@@ -898,7 +934,6 @@ def test_row_blocks_equal_the_one_grid_output(tmp_path, capsys, rows, fmt):
     pieces = list(cli._matrix_chunks(131, rows, rows, blocks, fmt))
     assert len(pieces) == -(-rows // 64) + (2 if fmt == "json" else 0)
     if fmt == "text":
-        assert "".join(pieces) == _matrix_text_per_entry(mat)
+        assert "".join(pieces) == _matrix_text_per_entry(131, mat)
     else:
-        obj = {"p": 131, "rows": rows, "cols": rows, "entries": mat.data.tolist()}
-        assert "".join(pieces) == json.dumps(obj, separators=(",", ":"))
+        assert "".join(pieces) == _matrix_json(131, mat)

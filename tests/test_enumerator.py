@@ -36,7 +36,7 @@ from sdcyclic.enumerator import (
 from sdcyclic.gmatrix import _g_full
 from sdcyclic.reciprocal import XM1_TO_STD
 
-from oracles import canonical_form
+from oracles import canonical_form, span_element
 
 
 def _ideal_from_k_and_b(field, s, k, b_coeffs):
@@ -187,7 +187,7 @@ def _build_code_per_code(desc, params, field):
     basis and a full-length basis conversion for every code."""
     norm = tuple(field.element(a) for a in params)
     if desc.l > 0:
-        tail = solution_basis(field, desc.l, desc.delta).combine(norm)
+        tail = span_element(field, solution_basis(field, desc.l, desc.delta), norm)
         b = XPoly(field, desc.l, (field.zero(),) * desc.delta + tail)
     else:
         b = XPoly(field, 0, ())
@@ -282,7 +282,8 @@ LENGTH27_BASIS_TABLE = {
 @pytest.mark.parametrize("l,delta", sorted(LENGTH27_BASIS_TABLE))
 def test_length27_basis_columns_match_reference_tables(f3, l, delta):
     basis = solution_basis(f3, l, delta)
-    got = {(v.source_index + 1) // 2: v.values for v in basis.vectors}
+    jmin = (delta + 1) // 2 + 1
+    got = {j: tuple(col) for j, col in enumerate(basis.T.tolist(), jmin)}
     expected = dict(LENGTH27_BASIS_TABLE[(l, delta)])
     assert got == expected
 

@@ -68,7 +68,7 @@ def test_inv_zero_is_reported(f3, f9):
 def test_element_coercion(f9):
     assert f9.element([5, -1]) == (2, 2)
     assert f9.element([1]) == (1, 0)
-    assert f9.from_int(-1) == (2, 0)
+    assert f9.element([-1]) == (2, 0)
     with pytest.raises(ValueError):
         f9.element([1, 2, 3])
 
@@ -119,7 +119,7 @@ def test_f27_frobenius_fixed_field():
     # x -> x^p fixes exactly the prime subfield
     field = find_irreducible(3, 3)
     fixed = [a for a in field.elements() if field.pow(a, 3) == a]
-    assert sorted(fixed) == sorted(field.from_int(c) for c in range(3))
+    assert sorted(fixed) == sorted(field.element([c]) for c in range(3))
 
 
 def test_is_prime():

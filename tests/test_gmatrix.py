@@ -1,23 +1,21 @@
-import random
-
 import numpy as np
 import pytest
 
 from sdcyclic import (
-    MatrixFp,
     build_g_direct,
     build_g_kron,
+    classify_cases,
+    find_irreducible,
     g_entry,
     g_truncated,
-    kron,
     min_level,
+    solution_basis,
     solution_column,
-    truncate_g,
 )
 from sdcyclic.fieldcore import is_prime
 from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS, _g_rows
 
-from oracles import rref_rank
+from oracles import rref_rank, solution_columns_oracle
 
 # Reference order-3 and order-9 matrices, hand-expandable from the
 # entry formula; -1 written as 2.
@@ -50,31 +48,30 @@ G8_PLUS_I_DISPLAY = [
 ]
 
 
+def _eye(n):
+    return np.eye(n, dtype=np.int64)
+
+
 def test_golden_g3():
-    assert build_g_direct(3, 1) == MatrixFp(3, G3_DISPLAY)
+    assert np.array_equal(build_g_direct(3, 1), G3_DISPLAY)
 
 
 def test_golden_g9_both_routes():
-    expected = MatrixFp(3, G9_DISPLAY)
-    assert build_g_direct(3, 2) == expected
-    assert build_g_kron(3, 2) == expected
+    assert np.array_equal(build_g_direct(3, 2), G9_DISPLAY)
+    assert np.array_equal(build_g_kron(3, 2), G9_DISPLAY)
 
 
 def test_level_zero_is_scalar_one():
-    assert build_g_direct(3, 0) == MatrixFp(3, [[1]])
-    assert build_g_kron(3, 0) == MatrixFp(3, [[1]])
+    assert np.array_equal(build_g_direct(3, 0), [[1]])
+    assert np.array_equal(build_g_kron(3, 0), [[1]])
 
 
 def test_kron_identities():
-    b = MatrixFp(3, [[1, 2], [0, 1]])
-    assert kron(MatrixFp(3, [[1]]), b) == b
-    assert kron(MatrixFp(3, np.eye(2)), MatrixFp(3, np.eye(3))) == MatrixFp(3, np.eye(6))
-    assert kron(build_g_direct(3, 1), build_g_direct(3, 1)) == MatrixFp(3, G9_DISPLAY)
-
-
-def test_kron_rejects_mixed_characteristic():
-    with pytest.raises(ValueError):
-        kron(MatrixFp(3, [[1]]), MatrixFp(5, [[1]]))
+    # the recursion the row kernel uses: G_(p^lam) = G_p (x) G_(p^(lam-1))
+    g3 = build_g_direct(3, 1)
+    assert np.array_equal(np.kron(g3, g3) % 3, G9_DISPLAY)
+    assert np.array_equal(np.kron(g3, build_g_direct(3, 2)) % 3, build_g_direct(3, 3))
+    assert np.array_equal(np.kron(build_g_direct(5, 1), build_g_direct(5, 1)) % 5, build_g_direct(5, 2))
 
 
 ODD_PRIMES_BELOW_60 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -94,8 +91,8 @@ def test_direct_equals_entry_formula(p, lam):
         for j in range(1, i + 1):
             expected[i - 1, j - 1] = g_entry(p, lam, i, j)
     g = build_g_direct(p, lam)
-    assert g.data.dtype == np.int64 and not g.data.flags.writeable
-    assert np.array_equal(g.data, expected)
+    assert g.dtype == np.int64 and not g.flags.writeable
+    assert np.array_equal(g, expected)
 
 
 CONSTRUCTION_RANGE = [(3, lam) for lam in range(6)] + [(5, lam) for lam in range(4)] + [(7, lam) for lam in range(4)]
@@ -105,7 +102,7 @@ CONSTRUCTION_RANGE = [(3, lam) for lam in range(6)] + [(5, lam) for lam in range
 def test_direct_equals_kron(p, lam):
     if p**lam > 343:
         pytest.skip("beyond the cross-validation range")
-    assert build_g_direct(p, lam) == build_g_kron(p, lam)
+    assert np.array_equal(build_g_direct(p, lam), build_g_kron(p, lam))
 
 
 @pytest.mark.parametrize("p,lam", CONSTRUCTION_RANGE)
@@ -113,64 +110,49 @@ def test_involution(p, lam):
     if p**lam > 343:
         pytest.skip("beyond the cross-validation range")
     g = build_g_kron(p, lam)
-    assert g @ g == MatrixFp.identity(p, p**lam)
+    assert np.array_equal(g @ g % p, _eye(p**lam))
 
 
 @pytest.mark.parametrize("p,top", [(3, 27), (5, 25)])
 def test_truncated_involution(p, top):
     for l in range(1, top + 1):
         g = g_truncated(p, l)
-        assert g @ g == MatrixFp.identity(p, l)
+        assert np.array_equal(g @ g % p, _eye(l))
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_rank_laws(p):
     for l in range(1, 41):
         g = g_truncated(p, l)
-        i = MatrixFp.identity(p, l)
-        assert rref_rank(g - i) == l // 2
-        assert rref_rank(g + i) == (l + 1) // 2
+        assert rref_rank(p, g - _eye(l)) == l // 2
+        assert rref_rank(p, g + _eye(l)) == (l + 1) // 2
 
 
 @pytest.mark.parametrize("p,l", [(3, 8), (3, 27), (5, 17)])
 def test_annihilation(p, l):
     g = g_truncated(p, l)
-    i = MatrixFp.identity(p, l)
-    zero = MatrixFp(p, np.zeros((l, l), dtype=np.int64))
-    assert (g - i) @ (g + i) == zero
-
-
-def test_kron_mixed_product_square():
-    rng = random.Random(11)
-    for p in (3, 5):
-        for _ in range(10):
-            na, nb = rng.randint(1, 4), rng.randint(1, 4)
-            a = MatrixFp(p, [[rng.randrange(p) for _ in range(na)] for _ in range(na)])
-            b = MatrixFp(p, [[rng.randrange(p) for _ in range(nb)] for _ in range(nb)])
-            assert kron(a, b) @ kron(a, b) == kron(a @ a, b @ b)
+    assert not ((g - _eye(l)) @ (g + _eye(l)) % p).any()
 
 
 def test_truncations():
     g9 = build_g_kron(3, 2)
-    assert truncate_g(g9, 3) == MatrixFp(3, G3_DISPLAY)
-    assert truncate_g(g9, 9) == g9
-    g8_plus = truncate_g(g9, 8) + MatrixFp.identity(3, 8)
-    assert g8_plus == MatrixFp(3, G8_PLUS_I_DISPLAY)
+    assert np.array_equal(g_truncated(3, 3), G3_DISPLAY)
+    assert np.array_equal(g_truncated(3, 9), g9)
+    assert np.array_equal((g_truncated(3, 8) + _eye(8)) % 3, G8_PLUS_I_DISPLAY)
     # truncation is independent of which covering power was used
-    assert truncate_g(build_g_kron(3, 3), 9) == g9
+    assert np.array_equal(build_g_kron(3, 3)[:9, :9], g9)
+    assert np.array_equal(g_truncated(3, 10)[:9, :9], g9)
     with pytest.raises(ValueError):
-        truncate_g(g9, 0)
-    with pytest.raises(ValueError):
-        truncate_g(g9, 10)
+        g_truncated(3, 0)
 
 
 def test_g_truncated_shares_one_full_matrix_per_level():
     g20, g25 = g_truncated(3, 20), g_truncated(3, 25)
-    assert np.shares_memory(g20.data, g25.data)
-    assert not g20.data.flags.writeable and not g25.data.flags.writeable
+    assert np.shares_memory(g20, g25)
+    assert not g20.flags.writeable and not g25.flags.writeable
     fresh = build_g_kron(3, 3)
-    assert g20 == truncate_g(fresh, 20)
-    assert g25 == truncate_g(fresh, 25)
+    assert np.array_equal(g20, fresh[:20, :20])
+    assert np.array_equal(g25, fresh[:25, :25])
 
 
 def test_min_level():
@@ -184,53 +166,80 @@ def test_min_level():
 
 def test_rank_examples():
     g8 = g_truncated(3, 8)
-    i8 = MatrixFp.identity(3, 8)
-    assert rref_rank(g8 + i8) == 4
-    assert rref_rank(g8 - i8) == 4
-    assert rref_rank(MatrixFp.identity(3, 17)) == 17
+    assert rref_rank(3, g8 + _eye(8)) == 4
+    assert rref_rank(3, g8 - _eye(8)) == 4
+    assert rref_rank(3, _eye(17)) == 17
 
 
 def test_size_cap_guard():
-    with pytest.raises(ValueError):
-        build_g_direct(3, 7)  # 2187 > 2048
-    with pytest.raises(ValueError):
-        build_g_kron(3, 7)
-    assert build_g_kron(3, 7, cap=3000).rows == 2187
+    for build in (build_g_direct, build_g_kron):
+        with pytest.raises(ValueError, match="p\\*\\*lam = 2187 exceeds size cap 2048"):
+            build(3, 7)
+    with pytest.raises(ValueError, match="exceeds size cap 2048"):
+        g_truncated(3, 2049)
 
 
 def test_solution_column_reference_values():
-    g8 = g_truncated(3, 8)
-    v5 = solution_column(g8, 3, delta=4)
-    assert v5.values == (2, 1, 0, 1) and v5.source_index == 5
-    v7 = solution_column(g8, 4, delta=4)
-    assert v7.values == (0, 0, 2, 2) and v7.source_index == 7
+    assert solution_column(3, 8, 3, delta=4).tolist() == [2, 1, 0, 1]
+    assert solution_column(3, 8, 4, delta=4).tolist() == [0, 0, 2, 2]
     # untruncated first column: 2 followed by the first column of G below
-    full = solution_column(g8, 1, delta=0)
-    assert full.values[0] == 2
-    assert full.values == (2, 2, 1, 2, 1, 2, 1, 2)
-    assert len(full.values) == 8 and full.delta == 0
+    assert solution_column(3, 8, 1).tolist() == [2, 2, 1, 2, 1, 2, 1, 2]
 
 
 def test_solution_column_range_validation():
-    g8 = g_truncated(3, 8)
-    solution_column(g8, 3, delta=4)
+    solution_column(3, 8, 3, delta=4)
     with pytest.raises(ValueError):
-        solution_column(g8, 2, delta=4)  # below floor
+        solution_column(3, 8, 2, delta=4)  # below floor
     with pytest.raises(ValueError):
-        solution_column(g8, 5, delta=4)  # above ceil(l/2)
+        solution_column(3, 8, 5, delta=4)  # above ceil(l/2)
     with pytest.raises(ValueError):
-        solution_column(g8, 0, delta=0)
+        solution_column(3, 8, 0, delta=0)
+    with pytest.raises(ValueError, match="need 0 <= delta < l"):
+        solution_column(3, 8, 4, delta=8)
 
 
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        MatrixFp(3, [1, 2, 3])
-    with pytest.raises(ValueError):
-        MatrixFp(6, [[1]])
-    with pytest.raises(ValueError):
-        MatrixFp(3, [[1]]) @ MatrixFp(5, [[1]])
-    m = MatrixFp(3, [[-1, 4], [3, 5]])
-    assert m.data.tolist() == [[2, 1], [0, 2]]
+# (p, s) of the code lengths whose every family's basis is checked
+_BASIS_LENGTHS = [(3, 6), (5, 3), (7, 3), (1021, 1)]
+
+
+@pytest.mark.parametrize("p,s", _BASIS_LENGTHS)
+def test_solution_basis_equals_the_per_column_oracle(p, s):
+    """The one slice of G_l, for the (l, delta) of every family, equals
+    the basis cut one column at a time from the entry-formula matrix, and
+    each ``solution_column`` is the matching column of it."""
+    field = find_irreducible(p, 1)
+    for desc in classify_cases(p, s):
+        if desc.l == 0:
+            continue
+        basis = solution_basis(field, desc.l, desc.delta)
+        assert basis.dtype == np.int64
+        assert np.array_equal(basis, solution_columns_oracle(p, desc.l, desc.delta)), desc
+        assert basis.shape == (desc.l - desc.delta, desc.free_param_count)
+        jmin, jmax = desc.j_range
+        for j in {jmin, jmax} if jmin <= jmax else ():
+            assert np.array_equal(solution_column(p, desc.l, j, desc.delta), basis[:, j - jmin])
+
+
+def _refuses_writes(arr):
+    if arr.flags.writeable:
+        return False
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 1
+    return True
+
+
+def test_every_matrix_and_basis_is_read_only(f3):
+    """No caller can change a cached matrix or basis in place."""
+    for p, lam in ((3, 0), (3, 1), (3, 4), (5, 3)):
+        assert _refuses_writes(build_g_direct(p, lam))
+        assert _refuses_writes(build_g_kron(p, lam))
+    for l in (1, 2, 8, 27, 28, 650):
+        assert _refuses_writes(g_truncated(3, l))
+    for l, delta in ((8, 0), (8, 4), (9, 8), (650, 300), (1, 0)):
+        assert _refuses_writes(solution_basis(f3, l, delta))
+        assert _refuses_writes(solution_column(3, l, (delta + 1) // 2 + 1, delta))
+    # an empty basis has no entry to write, but is read-only all the same
+    assert not solution_basis(f3, 2, 1).flags.writeable
 
 
 # -- the row kernel against the entry formula
@@ -265,9 +274,9 @@ def _kernel_rows(p, lam, size):
 @pytest.mark.parametrize("p,lam", KERNEL_RANGE)
 def test_row_kernel_equals_direct(p, lam):
     n = p**lam
-    direct = build_g_direct(p, lam).data
+    direct = build_g_direct(p, lam)
     assert np.array_equal(_kernel_rows(p, lam, n), direct)
-    assert np.array_equal(build_g_kron(p, lam).data, direct)
+    assert np.array_equal(build_g_kron(p, lam), direct)
     # leading truncations, on and next to the block and digit edges
     for size in {1, 63, 64, 65, n // p - 1, n // p, n // p + 1, n - 1}:
         if 1 <= size < n:
