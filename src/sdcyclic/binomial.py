@@ -37,9 +37,10 @@ def _binom_grid(p: int, n: np.ndarray, k: np.ndarray, digits: int) -> np.ndarray
     0 <= n, k < p^digits: one gather from the Pascal table per base-p
     digit, widened to int64.  Entries with k > n come out 0, because some
     digit of k then exceeds the digit of n and the table is zero above
-    its diagonal."""
+    its diagonal.  At digits = 1 the arguments index the table unreduced,
+    so there a k in (-p, 0) reads as k + p."""
     table = _pascal_table(p)
-    out = table[n % p, k % p].astype(np.int64)
+    out = (table[n, k] if digits == 1 else table[n % p, k % p]).astype(np.int64)
     for _ in range(digits - 1):
         n, k = n // p, k // p
         out = out * table[n % p, k % p] % p

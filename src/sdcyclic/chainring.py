@@ -21,7 +21,7 @@ All N shifts of one generator pair come from one polynomial product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Tuple
 
@@ -32,23 +32,21 @@ RElem = Tuple[FqElem, FqElem]
 RVector = Tuple[RElem, ...]
 
 
-@dataclass(frozen=True)
-class RIdealGens:
+class RIdealGens(namedtuple("RIdealGens", "field ring_sign generators")):
     """Generators of an ideal of R[x]/(x^N - ring_sign), each given as a
     length-N coefficient vector over R (already reduced)."""
 
-    field: FieldSpec
-    ring_sign: int  # +1 cyclic, -1 negacyclic
-    generators: tuple[RVector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ring_sign not in (1, -1):
-            raise ValueError(f"ring sign must be +1 or -1, got {self.ring_sign}")
-        if not self.generators:
+    def __new__(cls, field: FieldSpec, ring_sign: int, generators: tuple[RVector, ...]) -> RIdealGens:
+        if ring_sign not in (1, -1):
+            raise ValueError(f"ring sign must be +1 or -1, got {ring_sign}")
+        if not generators:
             raise ValueError("at least one generator required")
-        n = len(self.generators[0])
-        if n < 1 or any(len(g) != n for g in self.generators):
+        n = len(generators[0])
+        if n < 1 or any(len(g) != n for g in generators):
             raise ValueError("generators must share one positive length")
+        return super().__new__(cls, field, ring_sign, generators)
 
     @property
     def n(self) -> int:

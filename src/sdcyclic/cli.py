@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import itertools
-import json
 import math
 import operator
 import sys
@@ -261,37 +259,46 @@ def code_to_obj(code: CodeSpec, gens: RIdealGens | None = None) -> dict:
     }
 
 
+def _json_field(obj, key: str, kind: type):
+    """``obj[key]``, refused unless it is there and its type is exactly
+    ``kind``, so that a json ``true`` is not taken for the integer 1."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    if type(obj[key]) is not kind:
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def _poly_from_obj(field: FieldSpec, obj: dict) -> tuple[FqElem, ...]:
-    coeffs = tuple(field.element(c) for c in obj["coeffs"])
-    if obj["basis"] == "xm1":
+    coeffs = tuple(field.element(c) for c in _json_field(obj, "coeffs", list))
+    basis = _json_field(obj, "basis", str)
+    if basis == "xm1":
         return basis_convert(field, coeffs, XM1_TO_STD)
-    if obj["basis"] != "std":
-        raise ValueError(f"unknown basis {obj['basis']!r}")
+    if basis != "std":
+        raise ValueError(f"unknown basis {basis!r}")
     return coeffs
 
 
 def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     """Rebuild a code from its JSON object; the stored generators are
     checked against the reconstruction.  Returns the cyclic code and the
-    generators in the stored ring (cyclic or negacyclic)."""
-    p, m, s = obj["p"], obj["m"], obj["s"]
+    generators in the stored ring (cyclic or negacyclic).  A missing key
+    or a value of the wrong json type is refused with ``ValueError``."""
+    p, m, s, nu, k = (_json_field(obj, key, int) for key in ("p", "m", "s", "nu", "k"))
+    case = _json_field(obj, "case", str)
     ring_sign = obj.get("ring_sign", 1)
     if type(ring_sign) is not int or ring_sign not in (1, -1):
         raise ValueError(f"ring_sign must be 1 or -1, got {ring_sign!r}")
     field = _code_field(p, m, s)
-    match = [
-        d
-        for d in _code_families(p, s)
-        if d.sub == obj["case"] and d.nu == obj["nu"] and d.k == obj["k"]
-    ]
+    match = [d for d in _code_families(p, s) if d.sub == case and d.nu == nu and d.k == k]
     if not match:
-        raise ValueError(f"no case {obj['case']!r} with nu={obj['nu']}, k={obj['k']} for p={p}, s={s}")
-    code = build_code(match[0], [field.element(a) for a in obj["params"]], field)
+        raise ValueError(f"no case {case!r} with nu={nu}, k={k} for p={p}, s={s}")
+    code = build_code(match[0], [field.element(a) for a in _json_field(obj, "params", list)], field)
     gens = code.generators if ring_sign == 1 else to_negacyclic(code)
     stored = []
-    for g in obj["generators"]:
-        apart = _poly_from_obj(field, g["a"])
-        bpart = _poly_from_obj(field, g["b"])
+    for g in _json_field(obj, "generators", list):
+        apart = _poly_from_obj(field, _json_field(g, "a", dict))
+        bpart = _poly_from_obj(field, _json_field(g, "b", dict))
         stored.append(tuple(zip(apart, bpart)))
     if tuple(stored) != gens.generators:
         raise ValueError("stored generators do not match the reconstructed code")
@@ -299,6 +306,8 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
 
 
 def _json_dumps(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -403,6 +412,8 @@ def _cmd_count(args) -> int:
                 f"the total has more than {CSV_CELL_DIGITS} digits, too long for a csv cell; "
                 "use --format text or --format json to print it"
             )
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["p", "m", "s", "case", "count"])

@@ -21,9 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .chainring import RIdealGens, RVector
@@ -36,8 +35,7 @@ CASE_EVEN_K = "even-k"
 CASE_ODD_K = "odd-k"
 
 
-@dataclass(frozen=True)
-class CaseDescriptor:
+class CaseDescriptor(NamedTuple):
     """One parameter family of self-dual codes.
 
     branch: p^s mod 4 (1 or 3).
@@ -114,8 +112,7 @@ def _code_field(p: int, m: int, s: int) -> FieldSpec:
     return find_irreducible(p, m)
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(NamedTuple):
     """One concrete self-dual cyclic code: its family, the chosen free
     parameters (ascending column index), the assembled b polynomial in
     the (x-1)-adic basis, and the generator presentation."""
@@ -126,8 +123,7 @@ class CodeSpec:
     generators: RIdealGens
 
 
-@dataclass(frozen=True)
-class _FamilyPlan:
+class _FamilyPlan(NamedTuple):
     """Everything a code of one family needs that does not depend on the
     parameters, built once per family.  All arrays are read-only.
 
@@ -159,14 +155,9 @@ def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
     cols = solution_basis(field, l, delta) if l > 0 else _read_only(np.zeros((0, 0), dtype=np.int64))
     conv = _conv_matrix(field.p, n, XM1_TO_STD)
     # (x-1)^j in standard coordinates is column j of the conversion matrix
-    u = np.outer(conv[:, k], field.one())
-    second = np.outer(conv[:, n - k], field.one()) if k > 0 else None
-    return _FamilyPlan(
-        cols,
-        conv[:, k + 1 + delta : k + 1 + l],
-        _read_only(u),
-        None if second is None else _read_only(second),
-    )
+    u = _read_only(np.outer(conv[:, k], field.one()))
+    second = _read_only(np.outer(conv[:, n - k], field.one())) if k > 0 else None
+    return _FamilyPlan(cols, conv[:, k + 1 + delta : k + 1 + l], u, second)
 
 
 # Most codes one block holds, and most int64 entries of its first-generator
@@ -175,8 +166,7 @@ BLOCK_CODES = 256
 BLOCK_ENTRIES = 1 << 18
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """Up to ``BLOCK_CODES`` consecutive codes of one family over
     ``field``, in the ring x^N - ring_sign.
 

@@ -72,9 +72,11 @@ def _g_rows(p: int, lam: int, size: int):
         cols = np.arange(size)
         for start in range(0, size, MATRIX_BLOCK_ROWS):
             rows = np.arange(start, min(start + MATRIX_BLOCK_ROWS, size))
-            # entry (i, j), 0-based: (-1)^j C(n - 1 - j, (i - j) mod n)
-            block = _binom_grid(p, n - 1 - cols, (rows[:, None] - cols) % n, 1)
-            block[:, 1::2] = (p - block[:, 1::2]) % p
+            # entry (i, j), 0-based: (-1)^j C(n - 1 - j, (i - j) mod n), where
+            # a negative i - j reads the table at i - j + n, as numpy indexes
+            block = _binom_grid(p, n - 1 - cols, rows[:, None] - cols, 1)
+            odd = block[:, 1::2]
+            np.subtract(p, odd, out=odd, where=odd != 0)
             yield start, block
         return
     g_p = _g_full(p, 1)

@@ -18,7 +18,7 @@ columns, truncated, as one read-only array over F_p, cut from G_l by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
@@ -31,29 +31,26 @@ XM1_TO_STD = "xm1_to_std"
 STD_TO_XM1 = "std_to_xm1"
 
 
-@dataclass(frozen=True)
-class XPoly:
+class XPoly(namedtuple("XPoly", "field l coeffs")):
     """Element of F_{p^m}[x]/((x-1)^l) as its (x-1)-adic coefficient
     tuple (b_0, ..., b_{l-1}), entries being field-element tuples."""
 
-    field: FieldSpec
-    l: int
-    coeffs: tuple[FqElem, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"modulus exponent must be >= 0, got {self.l}")
-        if len(self.coeffs) != self.l:
-            raise ValueError(f"expected {self.l} coefficients, got {len(self.coeffs)}")
-        m, p = self.field.m, self.field.p
+    def __new__(cls, field: FieldSpec, l: int, coeffs: tuple[FqElem, ...]) -> XPoly:
+        if l < 0:
+            raise ValueError(f"modulus exponent must be >= 0, got {l}")
+        if len(coeffs) != l:
+            raise ValueError(f"expected {l} coefficients, got {len(coeffs)}")
+        m, p = field.m, field.p
         # One pass over all entries at C speed; the loop below only runs
         # to name the first bad coefficient.
-        flat = list(itertools.chain.from_iterable(self.coeffs))
-        if set(map(len, self.coeffs)) <= {m} and (not flat or (min(flat) >= 0 and max(flat) < p)):
-            return
-        for c in self.coeffs:
-            if len(c) != m or any(not 0 <= v < p for v in c):
-                raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
+        flat = list(itertools.chain.from_iterable(coeffs))
+        if not (set(map(len, coeffs)) <= {m} and (not flat or (min(flat) >= 0 and max(flat) < p))):
+            for c in coeffs:
+                if len(c) != m or any(not 0 <= v < p for v in c):
+                    raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
+        return super().__new__(cls, field, l, coeffs)
 
 
 def _to_array(coeffs: Sequence[FqElem]) -> np.ndarray:

@@ -1,13 +1,23 @@
-"""The public surface: every name the benchmark's tracer wraps, and
-``sdcyclic.__all__`` against the list in the README."""
+"""The public surface: every name the benchmark's tracer wraps,
+``sdcyclic.__all__`` against the list in the README, what importing the
+package loads, and the semantics of its record types."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sdcyclic
+from sdcyclic import CaseDescriptor, CodeSpec, RIdealGens, XPoly, build_code, classify_cases, find_irreducible
+from sdcyclic.enumerator import _Block, _block, _FamilyPlan, _family_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +65,110 @@ def test_all_is_the_readme_list():
     assert len(names) == len(set(names)) == 30
     assert sorted(sdcyclic.__all__) == sorted(names)
     assert all(hasattr(sdcyclic, name) for name in names)
+
+
+# Modules that ``import sdcyclic.cli`` must not load: dataclasses pulls in
+# inspect, ast, dis and tokenize; json and csv are loaded by the writers
+# that use them, numpy on first use.
+_NOT_AT_IMPORT = ("dataclasses", "inspect", "json", "csv", "numpy")
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    """In a fresh interpreter: ``import sdcyclic.cli`` loads none of
+    ``_NOT_AT_IMPORT``, and ``import sdcyclic`` loads every module the
+    tracer reads from ``sys.modules`` but the cli, which it imports
+    itself."""
+    script = (
+        "import sys\n"
+        "import sdcyclic\n"
+        "package = sorted(n for n in sys.modules if n.startswith('sdcyclic.'))\n"
+        "import sdcyclic.cli\n"
+        f"heavy = sorted(n for n in {_NOT_AT_IMPORT!r} if n in sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([package, heavy]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True)
+    package, heavy = json.loads(run.stdout)
+    assert heavy == []
+    modules = _layertrace().MODULES
+    assert "cli" in modules
+    assert {f"sdcyclic.{m}" for m in modules if m != "cli"} <= set(package)
+
+
+_DESC_FIELDS = ("p", "s", "branch", "sub", "nu", "k", "delta", "l", "j_range", "free_param_count", "t")
+
+
+def _k1_family():
+    """The family with k = 1 at p = 3, s = 2: one free parameter."""
+    desc = next(d for d in classify_cases(3, 2) if d.k == 1)
+    assert desc.free_param_count == 1
+    return desc
+
+
+def _records(field):
+    """One instance of each record type with the names of its fields, in
+    order."""
+    desc = _k1_family()
+    code = build_code(desc, ((2,),), field)
+    block = _block(desc, field, np.array([[[2]]]))
+    return [
+        (desc, _DESC_FIELDS),
+        (code, ("descriptor", "params", "b_coeffs", "generators")),
+        (code.b_coeffs, ("field", "l", "coeffs")),
+        (code.generators, ("field", "ring_sign", "generators")),
+        (_family_plan(desc, field), ("cols", "conv", "u", "second")),
+        (block, ("desc", "field", "ring_sign", "params", "b", "a", "u", "second")),
+    ]
+
+
+def test_records_are_immutable_values_with_a_keyword_repr(f3):
+    records = _records(f3)
+    assert [type(r) for r, _ in records] == [CaseDescriptor, CodeSpec, XPoly, RIdealGens, _FamilyPlan, _Block]
+    for record, names in records:
+        fields = {name: getattr(record, name) for name in names}
+        for name in names + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        # keyword construction gives an equal, separate record
+        again = type(record)(**fields)
+        assert again is not record
+        assert all(getattr(again, name) is fields[name] for name in names)
+        body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(record) == f"{type(record).__name__}({body})"
+    for record, names in records[:4]:
+        again = type(record)(**{name: getattr(record, name) for name in names})
+        assert again == record and hash(again) == hash(record)
+    assert records[3][0].n == 9
+    assert repr(XPoly(f3, 2, ((1,), (0,)))) == f"XPoly(field={f3!r}, l=2, coeffs=((1,), (0,)))"
+
+
+def test_an_equal_descriptor_hits_the_plan_cache(f3):
+    desc = _k1_family()
+    plan = _family_plan(desc, f3)
+    twin = CaseDescriptor(*(getattr(desc, name) for name in _DESC_FIELDS))
+    assert twin is not desc and twin == desc and hash(twin) == hash(desc)
+    hits = _family_plan.cache_info().hits
+    assert _family_plan(twin, find_irreducible(3, 1)) is plan
+    assert _family_plan.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda f: XPoly(f, -1, ()), "modulus exponent must be >= 0, got -1"),
+        (lambda f: XPoly(f, 2, ((1,),)), "expected 2 coefficients, got 1"),
+        (lambda f: XPoly(f, 2, ((1,), (3,))), "coefficient (3,) is not a reduced F_3^1 tuple"),
+        (lambda f: XPoly(field=f, l=1, coeffs=((1, 0),)), "coefficient (1, 0) is not a reduced F_3^1 tuple"),
+        (lambda f: RIdealGens(f, 0, ((((1,), (0,)),),)), "ring sign must be +1 or -1, got 0"),
+        (lambda f: RIdealGens(f, 1, ()), "at least one generator required"),
+        (lambda f: RIdealGens(f, -1, ((),)), "generators must share one positive length"),
+        (
+            lambda f: RIdealGens(field=f, ring_sign=1, generators=((((1,), (0,)),), ())),
+            "generators must share one positive length",
+        ),
+    ],
+)
+def test_record_refusals_keep_their_messages(f3, make, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        make(f3)

@@ -312,6 +312,54 @@ def test_obj_to_code_reads_only_a_ring_sign_of_one_or_minus_one(capsys):
     assert obj_to_code(cyclic)[1].ring_sign == 1
 
 
+
+def _k1_object(capsys):
+    """The json object of the first code with k = 1 (and nu = 1) of
+    length 9 over F_3."""
+    _, out, _ = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "2", "--format", "json")
+    line = next(line for line in out.splitlines() if '"nu":1,"k":1,' in line)
+    obj = json.loads(line)
+    assert json.dumps(code_to_obj(*obj_to_code(obj)), separators=(",", ":")) == line
+    return obj
+
+
+@pytest.mark.parametrize("key", ["p", "m", "s", "case", "nu", "k", "params", "generators"])
+def test_obj_to_code_refuses_a_missing_key_by_name(capsys, key):
+    obj = _k1_object(capsys)
+    del obj[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        obj_to_code(obj)
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_obj_to_code_refuses_a_generator_without_a_part(capsys, key):
+    obj = _k1_object(capsys)
+    del obj["generators"][0][key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        obj_to_code(obj)
+
+
+@pytest.mark.parametrize("key,value", [("p", "3"), ("p", 3.0), ("m", True), ("s", None)])
+def test_obj_to_code_refuses_a_non_integer_size(capsys, key, value):
+    obj = dict(_k1_object(capsys), **{key: value})
+    with pytest.raises(ValueError, match=f"'{key}' must be of type int"):
+        obj_to_code(obj)
+
+
+@pytest.mark.parametrize("key", ["params", "generators"])
+def test_obj_to_code_refuses_a_non_list(capsys, key):
+    obj = dict(_k1_object(capsys), **{key: 5})
+    with pytest.raises(ValueError, match=f"'{key}' must be of type list"):
+        obj_to_code(obj)
+
+
+@pytest.mark.parametrize("key", ["nu", "k"])
+def test_obj_to_code_refuses_true_for_one(capsys, key):
+    """json ``true`` equals 1 in Python, and would come back as 1."""
+    obj = dict(_k1_object(capsys), **{key: True})
+    with pytest.raises(ValueError, match=f"'{key}' must be of type int"):
+        obj_to_code(obj)
+
 # -- windows: --offset/--limit unrank the index instead of skipping codes
 
 def _family_boundaries(p, m, s):
