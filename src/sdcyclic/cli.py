@@ -23,30 +23,16 @@ import itertools
 import math
 import operator
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._numpy import np
-from .chainring import RIdealGens, _self_dual_failure, is_self_dual
-from .enumerator import (
-    CodeSpec,
-    _block,
-    _Block,
-    _checked_params,
-    _code_families,
-    _code_field,
-    _count_digits,
-    _sample_draws,
-    _stream_blocks,
-    build_code,
-    classify_cases,
-    count_self_dual,
-    descriptor_count,
-    enumerate_codes,
-    to_negacyclic,
-)
-from .fieldcore import FieldSpec, FqElem
-from .gmatrix import _checked_order, _g_rows, _solution_basis, column_index_range, min_level
-from .reciprocal import XM1_TO_STD, basis_convert
+
+# Library modules are imported by the subcommands that use them, so that
+# a command runs only the modules it needs.
+if TYPE_CHECKING:
+    from .chainring import RIdealGens
+    from .enumerator import CodeSpec, _Block
+    from .fieldcore import FieldSpec, FqElem
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +255,23 @@ def _json_field(obj, key: str, kind: type):
     return obj[key]
 
 
+def _json_element(field: FieldSpec, value, key: str) -> FqElem:
+    """An entry of the list ``obj[key]`` as a field element, refused
+    unless it is written as the exporter writes it: a list of m integers
+    in [0, p)."""
+    if (
+        type(value) is not list
+        or len(value) != field.m
+        or not all(type(c) is int and 0 <= c < field.p for c in value)
+    ):
+        raise ValueError(f"{key!r} entries must be lists of m = {field.m} integers in [0, {field.p}), got {value!r}")
+    return tuple(value)
+
+
 def _poly_from_obj(field: FieldSpec, obj: dict) -> tuple[FqElem, ...]:
-    coeffs = tuple(field.element(c) for c in _json_field(obj, "coeffs", list))
+    from .reciprocal import XM1_TO_STD, basis_convert
+
+    coeffs = tuple(_json_element(field, c, "coeffs") for c in _json_field(obj, "coeffs", list))
     basis = _json_field(obj, "basis", str)
     if basis == "xm1":
         return basis_convert(field, coeffs, XM1_TO_STD)
@@ -282,8 +283,11 @@ def _poly_from_obj(field: FieldSpec, obj: dict) -> tuple[FqElem, ...]:
 def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     """Rebuild a code from its JSON object; the stored generators are
     checked against the reconstruction.  Returns the cyclic code and the
-    generators in the stored ring (cyclic or negacyclic).  A missing key
-    or a value of the wrong json type is refused with ``ValueError``."""
+    generators in the stored ring (cyclic or negacyclic).  A missing key,
+    a value of the wrong json type, or a field element not written as
+    m residues is refused with ``ValueError``."""
+    from .enumerator import _code_families, _code_field, build_code, to_negacyclic
+
     p, m, s, nu, k = (_json_field(obj, key, int) for key in ("p", "m", "s", "nu", "k"))
     case = _json_field(obj, "case", str)
     ring_sign = obj.get("ring_sign", 1)
@@ -293,7 +297,8 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     match = [d for d in _code_families(p, s) if d.sub == case and d.nu == nu and d.k == k]
     if not match:
         raise ValueError(f"no case {case!r} with nu={nu}, k={k} for p={p}, s={s}")
-    code = build_code(match[0], [field.element(a) for a in _json_field(obj, "params", list)], field)
+    params = [_json_element(field, a, "params") for a in _json_field(obj, "params", list)]
+    code = build_code(match[0], params, field)
     gens = code.generators if ring_sign == 1 else to_negacyclic(code)
     stored = []
     for g in _json_field(obj, "generators", list):
@@ -333,6 +338,8 @@ def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
 def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
     """The solution-basis columns of G_l for ``delta``, one piece per
     column (json adds its head and tail)."""
+    from .gmatrix import _solution_basis, column_index_range
+
     basis = _solution_basis(p, l, delta)
     jmin = column_index_range(l, delta)[0]
     columns = ((j, col.tolist()) for j, col in enumerate(basis.T, jmin))
@@ -349,6 +356,8 @@ def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
 
 
 def _cmd_gmatrix(args) -> int:
+    from .gmatrix import _checked_order, _g_rows, min_level
+
     p = args.p
     if args.lam is None and args.l is None:
         raise ValueError("gmatrix needs --lambda or --l")
@@ -401,6 +410,8 @@ def _int_str_unlimited():
 
 
 def _cmd_count(args) -> int:
+    from .counting import _count_digits, classify_cases, count_self_dual, descriptor_count
+
     digits = _count_digits(args.p, args.m, args.s)
     if digits > COUNT_DIGITS_CAP:
         size = f"about {digits:.4g}" if math.isfinite(digits) else "more than 1e+300"
@@ -442,6 +453,8 @@ def _check_non_negative(args, *names: str) -> None:
 def _window(args) -> Iterator[CodeSpec]:
     """The --offset/--limit window of the enumeration, as ``CodeSpec``s;
     the codes before the window are skipped without being built."""
+    from .enumerator import enumerate_codes
+
     _check_non_negative(args, "offset", "limit")
     stream = enumerate_codes(args.p, args.m, args.s, start=args.offset)
     return itertools.islice(stream, args.limit)
@@ -461,6 +474,8 @@ def _emit_lines(args, lines: Iterator[str]) -> int:
 def _emit_window(args, ring_sign: int) -> int:
     """The --offset/--limit window of the enumeration in the ring
     x^N - ring_sign, rendered row by row from the code blocks."""
+    from .enumerator import _stream_blocks
+
     _check_non_negative(args, "offset", "limit")
     blocks = _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign)
     lines = _block_lines(blocks, args.format, args.offset)
@@ -470,6 +485,8 @@ def _emit_window(args, ring_sign: int) -> int:
 def _cmd_enumerate(args) -> int:
     if args.sample is None:
         return _emit_window(args, 1)
+    from .enumerator import _block, _checked_params, _code_field, _sample_draws
+
     _check_non_negative(args, "sample")
     if args.offset or args.limit is not None:
         raise ValueError("--sample cannot be combined with --offset/--limit")
@@ -487,6 +504,8 @@ def _cmd_negacyclic(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .enumerator import _block, _checked_params, _code_families, _code_field
+
     field = _code_field(args.p, args.m, args.s)
     match = [d for d in _code_families(args.p, args.s) if d.k == args.k]
     if not match:
@@ -500,6 +519,9 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     """Prints good/total; each failing code goes to stderr with the
     reason it failed."""
+    from .chainring import _self_dual_failure, is_self_dual
+    from .enumerator import to_negacyclic
+
     if args.all and (args.offset or args.limit is not None):
         raise ValueError("--all cannot be combined with --offset/--limit")
     ring = "negacyclic" if args.negacyclic else "cyclic"

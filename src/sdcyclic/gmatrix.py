@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from ._numpy import np
 from .binomial import _binom_grid
+from .counting import column_index_range
 from .fieldcore import is_prime
 
 # Hard stop for p^lam; full enumeration is long infeasible before this.
@@ -133,12 +134,6 @@ def g_truncated(p: int, l: int) -> np.ndarray:
     (lam recomputed as the least level with l <= p^lam).  Cached; every
     truncation is a read-only view of the one full matrix of its level."""
     return _g_full(p, min_level(p, l))[:l, :l]
-
-
-def column_index_range(l: int, delta: int) -> tuple[int, int]:
-    """Inclusive j-range of the valid odd columns 2j-1 for a given
-    truncation: ceil(delta/2) + 1 <= j <= ceil(l/2)."""
-    return (delta + 1) // 2 + 1, (l + 1) // 2
 
 
 def _solution_basis(p: int, l: int, delta: int) -> np.ndarray:

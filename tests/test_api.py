@@ -172,3 +172,142 @@ def test_an_equal_descriptor_hits_the_plan_cache(f3):
 def test_record_refusals_keep_their_messages(f3, make, message):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         make(f3)
+
+
+# -- what runs: each submodule's body runs on its first use ---------------------
+
+_LIBRARY = ("fieldcore", "binomial", "counting", "gmatrix", "reciprocal", "chainring", "enumerator")
+
+# Put before a child's script: ``ran`` lists, in order, each sdcyclic
+# module whose body runs, seen through the interpreter's "exec" audit event.
+_RAN = (
+    "import os, sys\n"
+    "ran = []\n"
+    "def _hook(event, args):\n"
+    "    code = args[0] if event == 'exec' else None\n"
+    "    if getattr(code, 'co_name', None) == '<module>':\n"
+    "        folder, name = os.path.split(code.co_filename)\n"
+    "        if os.path.basename(folder) == 'sdcyclic':\n"
+    "            ran.append(name[:-3])\n"
+    "sys.addaudithook(_hook)\n"
+)
+
+
+def _child(script, *args):
+    """Runs ``_RAN + script`` in a fresh interpreter that imports sdcyclic
+    from this checkout; returns its last stdout line as json."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _RAN + script, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_runs_no_library_module():
+    ran, registered = _child(
+        "import json\n"
+        "import sdcyclic.cli\n"
+        "print(json.dumps([ran, sorted(n for n in sys.modules if n.startswith('sdcyclic.'))]))\n"
+    )
+    assert ran == ["__init__", "cli", "_numpy"]
+    assert {f"sdcyclic.{m}" for m in _LIBRARY} <= set(registered)
+
+
+def _ran_per_command(argvs):
+    """For each argv, run in turn in one child: its exit status and the
+    modules whose bodies it ran."""
+    return _child(
+        "import contextlib, io, json\n"
+        "from sdcyclic.cli import dispatch\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    before = len(ran)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        status = dispatch(argv)\n"
+        "    out.append([status, ran[before:]])\n"
+        "print(json.dumps(out))\n",
+        json.dumps(argvs),
+    )
+
+
+def test_count_runs_neither_the_construction_nor_the_verifier():
+    argvs = [
+        ["count", "-p", "3", "-m", "1", "-s", "8"],
+        ["count", "-p", "3", "-m", "2", "-s", "5", "--format", "json"],
+        ["count", "-p", "5", "-m", "1", "-s", "3", "--format", "csv"],
+        ["count", "-p", "3", "-m", "1", "-s", "10", "--format", "csv"],
+    ]
+    (first, *rest), refused = _ran_per_command(argvs[:3]), _ran_per_command(argvs[3:])
+    assert first == [0, ["counting", "fieldcore"]]
+    assert rest == [[0, []], [0, []]]
+    assert refused == [[2, ["counting", "fieldcore"]]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gmatrix", "-p", "5", "--lambda", "2", "--minus-i"],
+        ["gmatrix", "-p", "7", "--l", "30", "--format", "json"],
+        ["gmatrix", "-p", "3", "--l", "40", "--delta", "13"],
+    ],
+)
+def test_gmatrix_runs_neither_the_construction_nor_the_verifier(argv):
+    [[status, ran]] = _ran_per_command([argv])
+    assert status == 0
+    assert sorted(ran) == ["binomial", "counting", "fieldcore", "gmatrix"]
+
+
+def test_first_reads_of_a_module_from_many_threads_all_see_it_whole():
+    """Eight threads read from ``enumerator`` at once, before its body has
+    run: it runs once, and every thread finds its last definition."""
+    errors, alive, runs, plain = _child(
+        "import json, threading, types\n"
+        "import sdcyclic\n"
+        "module = sys.modules['sdcyclic.enumerator']\n"
+        "barrier, errors = threading.Barrier(8), []\n"
+        "def work():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        assert callable(module.sample_codes)\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(30)\n"
+        "alive = any(t.is_alive() for t in threads)\n"
+        "print(json.dumps([errors, alive, ran.count('enumerator'), type(module) is types.ModuleType]))\n"
+    )
+    assert (errors, alive, runs, plain) == ([], False, 1, True)
+
+
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from sdcyclic import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(sdcyclic.__all__) and len(namespace) == 30
+    assert namespace["count_self_dual"] is sdcyclic.counting.count_self_dual is sdcyclic.enumerator.count_self_dual
+
+
+def test_the_tracer_still_records_each_layer(tmp_path):
+    """``perfbench/tracecli.py`` rebinds the names it wraps in every
+    module the package registers, so calls made through the per-command
+    imports of the cli are still spanned."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    ops = {
+        "enumerator.count_self_dual": ["count", "-p", "3", "-m", "1", "-s", "6"],
+        "gmatrix.g_truncated": ["gmatrix", "-p", "3", "--l", "40", "--delta", "13"],
+        "chainring.span_dimension": ["verify", "-p", "3", "-m", "1", "-s", "2", "--limit", "3"],
+    }
+    for span, argv in ops.items():
+        path = tmp_path / f"{argv[0]}.json"
+        env["PERFBENCH_SPANS"] = str(path)
+        subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracecli.py"), *argv],
+            env=env,
+            capture_output=True,
+            timeout=60,
+            check=True,
+        )
+        dump = json.loads(path.read_text())
+        names = [dump["names"][s[0]] for s in dump["spans"]]
+        assert names[0] == "cli.dispatch" and span in names, (argv, names)

@@ -16,10 +16,12 @@ from sdcyclic import (
     build_code,
     build_g_direct,
     build_g_kron,
+    chainring,
     classify_cases,
     cli,
     count_self_dual,
     descriptor_count,
+    enumerator,
     find_irreducible,
     g_truncated,
     gmatrix,
@@ -29,7 +31,7 @@ from sdcyclic import (
 )
 from sdcyclic.binomial import _pascal_table
 from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
-from sdcyclic.enumerator import _count_digits
+from sdcyclic.counting import _count_digits
 from sdcyclic.fieldcore import MAX_EXTENSION_DEGREE
 
 from oracles import matrix_json, matrix_text, solution_columns_oracle
@@ -360,6 +362,34 @@ def test_obj_to_code_refuses_true_for_one(capsys, key):
     with pytest.raises(ValueError, match=f"'{key}' must be of type int"):
         obj_to_code(obj)
 
+
+# Written as the exporter writes them, an element is a list of m residues;
+# anything else would not be re-exported byte for byte.
+_UNREDUCED = [[3], [-3], [True], [], [0, 0], [0.0]]
+
+
+@pytest.mark.parametrize("value", _UNREDUCED + [5, "0", None])
+def test_obj_to_code_refuses_an_unreduced_parameter(capsys, value):
+    obj = dict(_k1_object(capsys), params=[value])
+    with pytest.raises(ValueError, match=r"'params' entries must be lists of m = 1 integers in \[0, 3\)"):
+        obj_to_code(obj)
+
+
+@pytest.mark.parametrize("part", ["a", "b"])
+@pytest.mark.parametrize("shift", [3, -3])
+def test_obj_to_code_refuses_an_unreduced_coefficient(capsys, part, shift):
+    """The coefficient reduces to the stored one, so only the check on
+    the element itself can refuse it."""
+    obj = _k1_object(capsys)
+    coeffs = obj["generators"][0][part]["coeffs"]
+    coeffs[1] = [coeffs[1][0] + shift]
+    with pytest.raises(ValueError, match=r"'coeffs' entries must be lists of m = 1 integers in \[0, 3\)"):
+        obj_to_code(obj)
+    for value in _UNREDUCED:
+        coeffs[1] = value
+        with pytest.raises(ValueError, match="'coeffs' entries must be"):
+            obj_to_code(obj)
+
 # -- windows: --offset/--limit unrank the index instead of skipping codes
 
 def _family_boundaries(p, m, s):
@@ -404,7 +434,7 @@ def test_verify_window_checks_exactly_the_windowed_codes(capsys, monkeypatch, ne
         seen.append(gens)
         return True
 
-    monkeypatch.setattr(cli, "is_self_dual", record)
+    monkeypatch.setattr(chainring, "is_self_dual", record)
     extra = ("--negacyclic",) if negacyclic else ()
     total = len(expected)
     for start in sorted({0, _family_boundaries(3, 2, 2)[0], total - 1, total}):
@@ -457,7 +487,7 @@ def test_negative_window_is_refused(capsys, argv, flag):
 
 
 def test_codes_are_written_as_they_are_built(capsys, monkeypatch):
-    real = cli._stream_blocks
+    real = enumerator._stream_blocks
 
     def two_blocks_then_fail(*args, **kwargs):
         stream = real(*args, **kwargs)
@@ -465,7 +495,7 @@ def test_codes_are_written_as_they_are_built(capsys, monkeypatch):
         yield next(stream)  # and this indices 1 and 2
         raise ValueError("stream broke")
 
-    monkeypatch.setattr(cli, "_stream_blocks", two_blocks_then_fail)
+    monkeypatch.setattr(enumerator, "_stream_blocks", two_blocks_then_fail)
     status, out, err = run(capsys, "enumerate", "-p", "3", "-m", "1", "-s", "2")
     assert status == 2 and "stream broke" in err
     assert [line.split()[0] for line in out.splitlines()] == ["index=0", "index=1", "index=2"]
@@ -597,7 +627,7 @@ def _relabel_as_negacyclic(code):
 
 
 def test_verify_names_failing_codes(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "to_negacyclic", _relabel_as_negacyclic)
+    monkeypatch.setattr(enumerator, "to_negacyclic", _relabel_as_negacyclic)
     status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "1", "--all", "--negacyclic")
     assert status == 1 and out == "1/2 self-dual\n"
     assert err == (
@@ -618,7 +648,7 @@ def test_verify_names_wrong_dimension(capsys, monkeypatch):
         gens = code.generators
         return RIdealGens(field=gens.field, ring_sign=1, generators=gens.generators[:1])
 
-    monkeypatch.setattr(cli, "to_negacyclic", first_generator_only)
+    monkeypatch.setattr(enumerator, "to_negacyclic", first_generator_only)
     status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "1", "--all", "--negacyclic")
     # <u(x-1)> alone is self-orthogonal but only 2-dimensional
     assert status == 1 and out == "1/2 self-dual\n"
@@ -915,6 +945,8 @@ def test_count_and_refusals_leave_numpy_unloaded():
 
 
 def test_importing_the_package_loads_every_module_but_not_numpy():
+    """``import sdcyclic`` puts every library module in ``sys.modules``
+    (their bodies run on first use, see ``tests/test_api.py``)."""
     script = (
         "import json, sys\n"
         "import sdcyclic\n"
@@ -924,7 +956,7 @@ def test_importing_the_package_loads_every_module_but_not_numpy():
         "print(json.dumps([library, every, sorted(n for n in sys.modules if n.startswith('numpy.'))]))\n"
     )
     library, every, loaded = _in_a_child(script)
-    names = ["binomial", "chainring", "enumerator", "fieldcore", "gmatrix", "reciprocal"]
+    names = ["binomial", "chainring", "counting", "enumerator", "fieldcore", "gmatrix", "reciprocal"]
     assert library == sorted(["sdcyclic._numpy"] + [f"sdcyclic.{n}" for n in names])
     assert every == sorted(library + ["sdcyclic.cli"]) and loaded == []
 

@@ -22,12 +22,10 @@ from sdcyclic import (
     solution_basis,
     to_negacyclic,
 )
+from sdcyclic.counting import CASE_EVEN_K, CASE_K0, CASE_ODD_K
 from sdcyclic.enumerator import (
     BLOCK_CODES,
     BLOCK_ENTRIES,
-    CASE_EVEN_K,
-    CASE_K0,
-    CASE_ODD_K,
     _decode_block,
     _family_blocks,
     _family_plan,
