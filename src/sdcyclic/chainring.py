@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 from typing import Tuple
 
 from ._numpy import np
@@ -69,9 +70,13 @@ def _reduction_rows(field: FieldSpec) -> np.ndarray:
     return rows
 
 
-def _gen_arrays(vec: RVector) -> tuple[np.ndarray, np.ndarray]:
-    ab = np.array(vec, dtype=np.int64)
-    return ab[:, 0], ab[:, 1]
+def _gens_array(gens: RIdealGens) -> np.ndarray:
+    """The generators as one (generators, N, 2, m) array; axis 2 holds
+    the main part a and the u-part b of each coefficient."""
+    size, n, m = len(gens.generators), gens.n, gens.field.m
+    flat = chain.from_iterable
+    values = flat(flat(flat(gens.generators)))
+    return np.fromiter(values, dtype=np.int64, count=size * n * 2 * m).reshape(size, n, 2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +135,10 @@ def _orthogonality_failure(gens: RIdealGens) -> tuple[int, int, int, str] | None
     check: <x^i g_k, g_j> = sign * <x^(N-i) g_j, g_k>."""
     _check_int64(gens)
     field, sign, p = gens.field, gens.ring_sign, gens.field.p
-    arrs = [_gen_arrays(g) for g in gens.generators]
-    for j, (aj, bj) in enumerate(arrs):
-        for k in range(j, len(arrs)):
-            ak, bk = arrs[k]
+    parts = _gens_array(gens).swapaxes(1, 2)  # (generators, a | b, N, m)
+    for j, (aj, bj) in enumerate(parts):
+        for k in range(j, len(parts)):
+            ak, bk = parts[k]
             main = _correlation(field, sign, aj, ak).any(axis=1)
             upart = (_correlation(field, sign, aj, bk) + _correlation(field, sign, bj, ak)) % p
             bad = main | upart.any(axis=1)
@@ -206,7 +211,7 @@ def span_dimension(gens: RIdealGens) -> int:
     _check_int64(gens)
     m = field.m
     # one (a | b) column block per generator, converted in one product
-    std = np.concatenate([np.array(g, dtype=np.int64).reshape(n, 2 * m) for g in gens.generators], axis=1)
+    std = _gens_array(gens).transpose(1, 0, 2, 3).reshape(n, -1)
     tadic = _to_t_adic(p, n, gens.ring_sign) @ std % p
     rows = []
     for c in range(0, tadic.shape[1], 2 * m):

@@ -43,19 +43,16 @@ def _fq_str(e: FqElem) -> str:
 
 
 def _parse_fq(field: FieldSpec, text: str) -> FqElem:
-    return field.element([int(part) for part in text.split(":")])
+    coeffs = [int(part) for part in text.split(":")]
+    if len(coeffs) > field.m or not all(0 <= c < field.p for c in coeffs):
+        raise ValueError(f"--params entries must be at most m = {field.m} residues in [0, {field.p}), got {text!r}")
+    return field.element(coeffs)
 
 
 def _parse_params(field: FieldSpec, text: str) -> tuple[FqElem, ...]:
     if not text:
         return ()
     return tuple(_parse_fq(field, item) for item in text.split(","))
-
-
-def _code_label(code: CodeSpec, index: int) -> str:
-    d = code.descriptor
-    params = ",".join(_fq_str(a) for a in code.params)
-    return f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{params}]"
 
 
 @functools.lru_cache(maxsize=4)
@@ -126,7 +123,7 @@ def _row_renderer(block: _Block, fmt: str):
     prefix and suffix) are put together once; per code only the
     parameters and the main part ``a`` of the first generator are
     rendered.  Returns ``render(index, params, a)`` for a (w, m)
-    parameter row and an (N, m) array ``a``."""
+    parameter row and an (N, m) array ``a``: the line, newline included."""
     d = block.desc
     if fmt == "json":
         head = _json_dumps({"p": d.p, "m": block.field.m, "s": d.s, "case": d.sub, "nu": d.nu, "k": d.k})
@@ -137,7 +134,7 @@ def _row_renderer(block: _Block, fmt: str):
             zero = np.zeros_like(block.second)
             second = {"a": poly_to_obj(block.second.tolist()), "b": poly_to_obj(zero.tolist())}
             gens.append("," + _json_dumps(second))
-        tail = "}" + "".join(gens) + f'],"ring_sign":{block.ring_sign}}}'
+        tail = "}" + "".join(gens) + f'],"ring_sign":{block.ring_sign}}}\n'
 
         def render(index: int, params: np.ndarray, a: np.ndarray) -> str:
             return head + _rows_json(params) + mid + _rows_json(a) + tail
@@ -148,7 +145,7 @@ def _row_renderer(block: _Block, fmt: str):
     tail = "u" if b_str == "1" else f"u*({b_str})"
     if block.second is not None:
         tail += f"; {_poly_text(block.second, d.p)}"
-    tail += ">"
+    tail += ">\n"
 
     def render(index: int, params: np.ndarray, a: np.ndarray) -> str:
         a_str = _poly_text(a, d.p)
@@ -159,8 +156,8 @@ def _row_renderer(block: _Block, fmt: str):
 
 
 def _block_lines(blocks: Iterable[_Block], fmt: str, first_index: int) -> Iterator[str]:
-    """One line per code of the blocks, numbered from ``first_index``;
-    each line is rendered only when it is asked for."""
+    """One line per code of the blocks, numbered from ``first_index``,
+    newline included; each line is rendered only when it is asked for."""
     index = first_index
     desc = render = None
     for block in blocks:
@@ -323,21 +320,21 @@ def _open_out(out: str | None):
     return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _emit(text: str, out: str | None) -> None:
-    _emit_pieces((text,), out)
-
-
-def _emit_pieces(pieces: Iterable[str], out: str | None) -> None:
-    """Writes each piece as it comes, then a newline."""
+def _write(out: str | None, pieces: Iterable[str], empty: str = "") -> int:
+    """Writes each piece as soon as it exists, or ``empty`` if there is
+    none.  ``out`` is opened only once the first piece exists, so a
+    command refused before it leaves an existing file as it was."""
+    pieces = iter(pieces)
+    first = next(pieces, empty)
     with _open_out(out) as fh:
-        for piece in pieces:
-            fh.write(piece)
-        fh.write("\n")
+        fh.write(first)
+        fh.writelines(pieces)
+    return 0
 
 
 def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
     """The solution-basis columns of G_l for ``delta``, one piece per
-    column (json adds its head and tail)."""
+    column (json adds its head and tail), ending in a newline."""
     from .gmatrix import _solution_basis, column_index_range
 
     basis = _solution_basis(p, l, delta)
@@ -347,12 +344,11 @@ def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
         yield f'{{"p":{p},"l":{l},"delta":{delta},"vectors":['
         for n, (j, values) in enumerate(columns):
             yield ("," if n else "") + _json_dumps({"j": j, "column": 2 * j - 1, "values": values})
-        yield "]}"
+        yield "]}\n"
         return
-    lines = (f"j={j} column={2 * j - 1} values=" + " ".join(map(str, values)) for j, values in columns)
-    yield next(lines, "(empty basis)")
-    for line in lines:
-        yield "\n" + line
+    lines = (f"j={j} column={2 * j - 1} values=" + " ".join(map(str, values)) + "\n" for j, values in columns)
+    yield next(lines, "(empty basis)\n")
+    yield from lines
 
 
 def _cmd_gmatrix(args) -> int:
@@ -367,8 +363,7 @@ def _cmd_gmatrix(args) -> int:
             raise ValueError("--delta requires --l")
         if shift:
             raise ValueError(f"--delta cannot be combined with {'--plus-i' if shift > 0 else '--minus-i'}")
-        _emit_pieces(_column_pieces(p, args.l, args.delta, args.format), args.out)
-        return 0
+        return _write(args.out, _column_pieces(p, args.l, args.delta, args.format))
 
     lam = args.lam if args.l is None else min_level(p, args.l)
     n = _checked_order(p, lam)
@@ -381,8 +376,7 @@ def _cmd_gmatrix(args) -> int:
                 block[diag, start + diag] = (block[diag, start + diag] + shift) % p
             yield block
 
-    _emit_pieces(_matrix_chunks(p, size, size, blocks(), args.format), args.out)
-    return 0
+    return _write(args.out, itertools.chain(_matrix_chunks(p, size, size, blocks(), args.format), ["\n"]))
 
 
 # text and json print totals estimated at up to this many decimal digits:
@@ -432,15 +426,13 @@ def _cmd_count(args) -> int:
             label = f"{d.sub}:nu={d.nu}:k={d.k}"
             writer.writerow([args.p, args.m, args.s, label, descriptor_count(d, args.m)])
         writer.writerow([args.p, args.m, args.s, "total", total])
-        _emit(buf.getvalue().rstrip("\n"), args.out)
-        return 0
+        return _write(args.out, [buf.getvalue()])
     with _int_str_unlimited():
         if args.format == "json":
             text = _json_dumps({"p": args.p, "m": args.m, "s": args.s, "count": total})
         else:
             text = str(total)
-    _emit(text, args.out)
-    return 0
+    return _write(args.out, [text + "\n"])
 
 
 def _check_non_negative(args, *names: str) -> None:
@@ -450,36 +442,19 @@ def _check_non_negative(args, *names: str) -> None:
             raise ValueError(f"--{name} must be >= 0, got {value}")
 
 
-def _window(args) -> Iterator[CodeSpec]:
-    """The --offset/--limit window of the enumeration, as ``CodeSpec``s;
-    the codes before the window are skipped without being built."""
-    from .enumerator import enumerate_codes
-
-    _check_non_negative(args, "offset", "limit")
-    stream = enumerate_codes(args.p, args.m, args.s, start=args.offset)
-    return itertools.islice(stream, args.limit)
-
-
-def _emit_lines(args, lines: Iterator[str]) -> int:
-    """Each line is written as soon as it is rendered; the output is
-    opened only once the first line (or the lack of one) is known."""
-    first = next(lines, "(no codes)")
-    with _open_out(args.out) as fh:
-        fh.write(first + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    return 0
-
-
-def _emit_window(args, ring_sign: int) -> int:
-    """The --offset/--limit window of the enumeration in the ring
-    x^N - ring_sign, rendered row by row from the code blocks."""
+def _window_blocks(args, ring_sign: int) -> Iterator[_Block]:
+    """The code blocks of the enumeration in the ring x^N - ring_sign
+    from --offset on; the caller cuts them at --limit codes."""
     from .enumerator import _stream_blocks
 
     _check_non_negative(args, "offset", "limit")
-    blocks = _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign)
-    lines = _block_lines(blocks, args.format, args.offset)
-    return _emit_lines(args, itertools.islice(lines, args.limit))
+    return _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign)
+
+
+def _emit_window(args, ring_sign: int) -> int:
+    """The --offset/--limit window, rendered row by row."""
+    lines = _block_lines(_window_blocks(args, ring_sign), args.format, args.offset)
+    return _write(args.out, itertools.islice(lines, args.limit), "(no codes)\n")
 
 
 def _cmd_enumerate(args) -> int:
@@ -496,7 +471,7 @@ def _cmd_enumerate(args) -> int:
         for desc, params in _sample_draws(args.p, args.m, args.s, args.sample, args.seed):
             yield _block(desc, field, _checked_params(desc, params, field))
 
-    return _emit_lines(args, _block_lines(blocks(), args.format, 0))
+    return _write(args.out, _block_lines(blocks(), args.format, 0), "(no codes)\n")
 
 
 def _cmd_negacyclic(args) -> int:
@@ -511,30 +486,33 @@ def _cmd_build(args) -> int:
     if not match:
         raise ValueError(f"no case has k={args.k} for p={args.p}, s={args.s}")
     params = _checked_params(match[0], _parse_params(field, args.params), field)
-    (line,) = _block_lines([_block(match[0], field, params)], args.format, 0)
-    _emit(line, args.out)
-    return 0
+    return _write(args.out, _block_lines([_block(match[0], field, params)], args.format, 0))
 
 
 def _cmd_verify(args) -> int:
     """Prints good/total; each failing code goes to stderr with the
     reason it failed."""
     from .chainring import _self_dual_failure, is_self_dual
-    from .enumerator import to_negacyclic
+    from .enumerator import _generators
 
     if args.all and (args.offset or args.limit is not None):
         raise ValueError("--all cannot be combined with --offset/--limit")
-    ring = "negacyclic" if args.negacyclic else "cyclic"
+    ring_sign, ring = (-1, "negacyclic") if args.negacyclic else (1, "cyclic")
+    rows = (
+        (block.desc, params, gens)
+        for block in _window_blocks(args, ring_sign)
+        for params, gens in zip(block.params, _generators(block))
+    )
     good = total = 0
-    for index, code in enumerate(_window(args), args.offset):
-        gens = to_negacyclic(code) if args.negacyclic else code.generators
+    for index, (d, params, gens) in enumerate(itertools.islice(rows, args.limit), args.offset):
         total += 1
         if is_self_dual(gens, args.s):
             good += 1
             continue
         reason = _self_dual_failure(gens, args.s)
-        print(f"{_code_label(code, index)} ring={ring}: {reason}", file=sys.stderr)
-    _emit(f"{good}/{total} self-dual", args.out)
+        label = f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{_params_text(params)}]"
+        print(f"{label} ring={ring}: {reason}", file=sys.stderr)
+    _write(args.out, [f"{good}/{total} self-dual\n"])
     return 0 if good == total else 1
 
 

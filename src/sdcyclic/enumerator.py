@@ -20,13 +20,12 @@ resumable by plain index.
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from ._numpy import np
-from .chainring import RIdealGens, RVector
+from .chainring import RIdealGens, RVector, _gens_array
 from .counting import (  # noqa: F401  (re-exported)
     CaseDescriptor,
     _validate_ps,
@@ -158,22 +157,23 @@ def _block(desc: CaseDescriptor, field: FieldSpec, params: np.ndarray, ring_sign
     return _Block(desc, field, ring_sign, params, b, a, u, second)
 
 
-def _codes(block: _Block) -> Iterator[CodeSpec]:
-    """The cyclic block's rows as ``CodeSpec``s, converted one at a time."""
-    desc, field = block.desc, block.field
-    pad = (field.zero(),) * desc.delta
+def _generators(block: _Block) -> Iterator[RIdealGens]:
+    """Each row's generators, in the block's ring, converted one at a time."""
+    field = block.field
     u = _from_array(block.u)
     rest: tuple[RVector, ...] = ()
     if block.second is not None:
         rest = (tuple((c, field.zero()) for c in _from_array(block.second)),)
-    for params, b, a in zip(block.params, block.b, block.a):
-        gens = (tuple(zip(_from_array(a), u)),) + rest
-        yield CodeSpec(
-            desc,
-            _from_array(params),
-            XPoly(field, desc.l, pad + _from_array(b)),
-            RIdealGens(field=field, ring_sign=1, generators=gens),
-        )
+    for a in block.a:
+        yield RIdealGens(field, block.ring_sign, (tuple(zip(_from_array(a), u)),) + rest)
+
+
+def _codes(block: _Block) -> Iterator[CodeSpec]:
+    """The cyclic block's rows as ``CodeSpec``s, converted one at a time."""
+    desc, field = block.desc, block.field
+    pad = (field.zero(),) * desc.delta
+    for params, b, gens in zip(block.params, block.b, _generators(block)):
+        yield CodeSpec(desc, _from_array(params), XPoly(field, desc.l, pad + _from_array(b)), gens)
 
 
 def _checked_params(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> np.ndarray:
@@ -294,21 +294,13 @@ def to_negacyclic(code: CodeSpec) -> RIdealGens:
     sign, and the result generates a negacyclic (x^N + 1) ideal.  The
     map is a ring isomorphism, so it carries self-dual cyclic codes
     bijectively onto self-dual negacyclic ones."""
-    gens = code.generators
-    field = gens.field
-    size, n, m = len(gens.generators), gens.n, field.m
+    field = code.generators.field
+    arr = _gens_array(code.generators)
+    size, n, _, m = arr.shape
     # (generators, N, 2m): both parts of every coefficient, one mask
-    flat = itertools.chain.from_iterable
-    values = flat(flat(flat(gens.generators)))
-    arr = np.fromiter(values, dtype=np.int64, count=size * n * 2 * m).reshape(size, n, 2 * m)
-    flipped = _negate_odd_degrees(arr, field.p).reshape(size, n, 2, m)
-    return RIdealGens(
-        field=field,
-        ring_sign=-1,
-        generators=tuple(
-            tuple(zip(map(tuple, g[:, 0].tolist()), map(tuple, g[:, 1].tolist()))) for g in flipped
-        ),
-    )
+    flipped = _negate_odd_degrees(arr.reshape(size, n, 2 * m), field.p).reshape(arr.shape)
+    generators = tuple(tuple((tuple(a), tuple(b)) for a, b in g) for g in flipped.tolist())
+    return RIdealGens(field, -1, generators)
 
 
 def _sample_draws(

@@ -41,7 +41,7 @@ from sdcyclic import (
     g_truncated,
     min_level,
 )
-from sdcyclic.chainring import _check_int64, _gen_arrays, _reduction_rows
+from sdcyclic.chainring import _check_int64, _reduction_rows
 from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS
 from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD, _from_array, _to_array
 
@@ -110,7 +110,8 @@ def orbit_rows(gens: RIdealGens) -> np.ndarray:
     wrapped = pos[None, :] < pos[:, None]
     blocks = []
     for g in gens.generators:
-        a, b = _gen_arrays(g)
+        ab = np.array(g, dtype=np.int64)  # (N, 2, m)
+        a, b = ab[:, 0], ab[:, 1]
         sa, sb = a[source], b[source]
         if sign == -1:
             sa[wrapped] = (-sa[wrapped]) % p

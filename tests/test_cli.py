@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sdcyclic import (
-    RIdealGens,
     build_code,
     build_g_direct,
     build_g_kron,
@@ -64,9 +63,15 @@ def _gen_str(field, gen):
     return piece if a_str == "0" else f"{a_str}+{piece}"
 
 
+def _code_label(code, index):
+    d = code.descriptor
+    params = ",".join(_fq_str(a) for a in code.params)
+    return f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{params}]"
+
+
 def _code_text(field, code, gens, index):
     body = "; ".join(_gen_str(field, g) for g in gens.generators)
-    return f"{cli._code_label(code, index)} <{body}>"
+    return f"{_code_label(code, index)} <{body}>"
 
 
 def _oracle_line(fmt, index, code, gens):
@@ -247,6 +252,29 @@ def test_build_bad_param_count(capsys):
     assert status == 2 and "parameters" in err
 
 
+@pytest.mark.parametrize("m,params", [(1, "5,1"), (1, "-1,1"), (1, "2,3"), (2, "1:-1,1"), (2, "0:3,1:1"), (2, "1:0:0,1")])
+def test_build_refuses_params_outside_the_residues(capsys, m, params):
+    argv = ("build", "-p", "3", "-m", str(m), "-s", "2", "--k", "0", f"--params={params}")
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.startswith("error: --params") and "[0, 3)" in err
+
+
+def test_build_params_in_range_are_printed_as_before(capsys):
+    argv = ("build", "-p", "3", "-m", "1", "-s", "2", "--k", "0", "--params", "2,1")
+    status, out, _ = run(capsys, *argv)
+    assert status == 0 and out == "index=0 case=k0 nu=0 k=0 params=[2,1] <2x+2x^3+x^4+2x^5+x^6+x^8+u>\n"
+    status, out, _ = run(capsys, *argv, "--format", "json")
+    assert status == 0 and out == (
+        '{"p":3,"m":1,"s":2,"case":"k0","nu":0,"k":0,"params":[[2],[1]],"generators":[{"a":{"basis":"std",'
+        '"coeffs":[[0],[2],[0],[2],[1],[2],[1],[0],[1]]},"b":{"basis":"std","coeffs":[[1],[0],[0],[0],[0],'
+        '[0],[0],[0],[0]]}}],"ring_sign":1}\n'
+    )
+    # an element may still be written with fewer than m coefficients
+    status, out, _ = run(capsys, "build", "-p", "3", "-m", "2", "-s", "2", "--k", "0", "--params", "1,2:1")
+    assert status == 0 and out.startswith("index=0 case=k0 nu=0 k=0 params=[1:0,2:1] <(1:1)x+(0:2)x^2+")
+
+
 def test_verify_all(capsys):
     status, out, _ = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "2", "--all")
     assert status == 0
@@ -277,6 +305,27 @@ def test_out_file(tmp_path, capsys):
     status, out, _ = run(capsys, "count", "-p", "3", "-m", "1", "-s", "1", "--out", str(target))
     assert status == 0 and out == ""
     assert target.read_text() == "2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gmatrix", "-p", "3", "--l", "5", "--delta", "7"),
+        ("gmatrix", "-p", "3", "--l", "5", "--delta", "7", "--format", "json"),
+        ("gmatrix", "-p", "3", "--l", "3000", "--delta", "1"),
+        ("gmatrix", "-p", "3", "--l", "3000"),
+        ("verify", "-p", "3", "-m", "1", "-s", "7"),
+        ("enumerate", "-p", "3", "-m", "1", "-s", "7"),
+        ("build", "-p", "3", "-m", "1", "-s", "2", "--k", "0", "--params", "5,1"),
+        ("count", "-p", "9", "-m", "1", "-s", "1"),
+    ],
+)
+def test_a_refusal_leaves_the_out_file_as_it_was(tmp_path, capsys, argv):
+    target = tmp_path / "kept.txt"
+    target.write_text("earlier output\n")
+    status, out, err = run(capsys, *argv, "--out", str(target))
+    assert status == 2 and out == "" and err.startswith("error: ")
+    assert target.read_text() == "earlier output\n"
 
 
 def test_invalid_p_reports_error(capsys):
@@ -620,14 +669,11 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 
 # -- verify names each failing code on stderr
 
-def _relabel_as_negacyclic(code):
-    """Wrong on purpose: keeps the cyclic coefficients (no x -> -x) and
-    only flips the ring sign, so most codes stop being self-dual."""
-    return RIdealGens(field=code.generators.field, ring_sign=-1, generators=code.generators.generators)
-
-
 def test_verify_names_failing_codes(capsys, monkeypatch):
-    monkeypatch.setattr(enumerator, "to_negacyclic", _relabel_as_negacyclic)
+    # wrong on purpose: the negacyclic blocks keep the cyclic coefficients
+    # (no x -> -x) and only flip the ring sign, so most codes stop being
+    # self-dual
+    monkeypatch.setattr(enumerator, "_negate_odd_degrees", lambda arr, p: arr)
     status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "1", "--all", "--negacyclic")
     assert status == 1 and out == "1/2 self-dual\n"
     assert err == (
@@ -644,13 +690,15 @@ def test_verify_names_failing_codes(capsys, monkeypatch):
 
 
 def test_verify_names_wrong_dimension(capsys, monkeypatch):
-    def first_generator_only(code):
-        gens = code.generators
-        return RIdealGens(field=gens.field, ring_sign=1, generators=gens.generators[:1])
+    real = enumerator._generators
 
-    monkeypatch.setattr(enumerator, "to_negacyclic", first_generator_only)
+    def first_generator_only(block):
+        for gens in real(block):
+            yield gens._replace(generators=gens.generators[:1])
+
+    monkeypatch.setattr(enumerator, "_generators", first_generator_only)
     status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "1", "--all", "--negacyclic")
-    # <u(x-1)> alone is self-orthogonal but only 2-dimensional
+    # the image of <u(x-1)> alone is self-orthogonal but only 2-dimensional
     assert status == 1 and out == "1/2 self-dual\n"
     assert err == "index=1 case=odd-k nu=0 k=1 params=[] ring=negacyclic: dimension 2 != 3\n"
 

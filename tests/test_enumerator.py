@@ -29,6 +29,7 @@ from sdcyclic.enumerator import (
     _decode_block,
     _family_blocks,
     _family_plan,
+    _generators,
     _stream_blocks,
 )
 from sdcyclic.gmatrix import _g_full
@@ -494,23 +495,30 @@ def test_sign_mask_equals_per_element_flip(p, m, s):
         assert to_negacyclic(code) == _to_negacyclic_per_element(code)
 
 
-def test_negacyclic_blocks_are_flipped_codes():
-    field = find_irreducible(3, 2)
-    cyclic = list(enumerate_codes(3, 2, 2))
+def _assert_blocks_are_flipped_codes(p, m, s):
+    field = find_irreducible(p, m)
+    cyclic = list(enumerate_codes(p, m, s))
     rows = [
-        (block.desc, a, block.u, block.second)
-        for block in _stream_blocks(3, 2, 2, ring_sign=-1)
-        for a in block.a
+        (block.desc, a, block.u, block.second, gens)
+        for block in _stream_blocks(p, m, s, ring_sign=-1)
+        for a, gens in zip(block.a, _generators(block))
     ]
-    assert len(rows) == len(cyclic)
-    for code, (desc, a, u, second) in zip(cyclic, rows):
-        gens = to_negacyclic(code).generators
+    assert len(rows) == len(cyclic) == count_self_dual(p, m, s)
+    for code, (desc, a, u, second, gens) in zip(cyclic, rows):
+        image = to_negacyclic(code)
         assert desc == code.descriptor
-        assert gens[0] == tuple(zip(map(tuple, a.tolist()), map(tuple, u.tolist())))
+        assert gens == image and gens.ring_sign == -1
+        assert image.generators[0] == tuple(zip(map(tuple, a.tolist()), map(tuple, u.tolist())))
         if second is None:
-            assert len(gens) == 1
+            assert len(image.generators) == 1
         else:
-            assert gens[1] == tuple((tuple(c), field.zero()) for c in second.tolist())
+            assert image.generators[1] == tuple((tuple(c), field.zero()) for c in second.tolist())
+
+
+def test_negacyclic_blocks_are_flipped_codes():
+    # the block flip (the CLI's) and ``to_negacyclic`` agree on every code
+    for p, m, s in [(3, 1, 3), (5, 1, 2), (3, 2, 2), (3, 3, 1)]:
+        _assert_blocks_are_flipped_codes(p, m, s)
 
 
 # -- sampling ---------------------------------------------------------------------
