@@ -9,7 +9,7 @@ For N = p^s, x^N -+ 1 = (x -+ 1)^N in characteristic p, so
 A = F_{p^m}[x]/(x^N -+ 1) is the chain ring F_{p^m}[t]/(t^N) and an ideal
 is an A-submodule of A^2 through a + u*b -> (a, b), stable under u:
 (a, b) -> (0, a).  Its cardinality is (p^m)^dimension, and the dimension
-comes from a Hermite form of at most 2 * #generators rows over A.  A code
+comes from a Hermite form over A, reduced one row per generator.  A code
 is self-dual iff it is self-orthogonal and has dimension p^s, since sizes
 of a code and its dual multiply to the full space.
 
@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Tuple
 
 from ._numpy import np
-from .fieldcore import FieldSpec, FqElem
+from .fieldcore import FieldSpec, FqElem, _check_reduced
 
 RElem = Tuple[FqElem, FqElem]
 RVector = Tuple[RElem, ...]
@@ -47,6 +47,10 @@ class RIdealGens(namedtuple("RIdealGens", "field ring_sign generators")):
         n = len(generators[0])
         if n < 1 or any(len(g) != n for g in generators):
             raise ValueError("generators must share one positive length")
+        entries = list(chain.from_iterable(generators))
+        if set(map(len, entries)) != {2}:
+            raise ValueError("generator entries must be pairs (a, b) of field elements")
+        _check_reduced(field, list(chain.from_iterable(entries)))
         return super().__new__(cls, field, ring_sign, generators)
 
     @property
@@ -173,22 +177,6 @@ def _valuation(x: np.ndarray) -> int:
     return int(hits[0]) if hits.size else x.shape[0]
 
 
-def _unit_inverse(field: FieldSpec, w: np.ndarray) -> np.ndarray:
-    """Inverse of w mod t^len(w), w[0] nonzero, by Newton iteration
-    y <- y + y(1 - wy), which doubles the precision of y each step."""
-    p, size = field.p, w.shape[0]
-    y = np.array([field.inv(tuple(int(v) for v in w[0]))], dtype=np.int64)
-    prec = 1
-    while prec < size:
-        prec = min(2 * prec, size)
-        err = (-_poly_mul(field, w, y, prec)) % p
-        err[0, 0] = (err[0, 0] + 1) % p
-        grown = np.zeros((prec, field.m), dtype=np.int64)
-        grown[: y.shape[0]] = y
-        y = (grown + _poly_mul(field, y, err, prec)) % p
-    return y
-
-
 def _is_power_of(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -213,29 +201,23 @@ def span_dimension(gens: RIdealGens) -> int:
     # one (a | b) column block per generator, converted in one product
     std = _gens_array(gens).transpose(1, 0, 2, 3).reshape(n, -1)
     tadic = _to_t_adic(p, n, gens.ring_sign) @ std % p
-    rows = []
-    for c in range(0, tadic.shape[1], 2 * m):
-        a, b = tadic[:, c : c + m], tadic[:, c + m : c + 2 * m]
-        rows += [(a, b), (np.zeros_like(a), a)]
-    firsts = [_valuation(f) for f, _ in rows]
+    a, b = tadic.reshape(n, -1, 2, m).transpose(2, 1, 0, 3)  # (generators, N, m) each
+    firsts = [_valuation(x) for x in a]
     v1 = min(firsts)
     if v1 == n:
-        kernel = [g for _, g in rows]
-    else:
-        # pivot (f, g) with f = t^v1 w: clear every other first coordinate
-        # with (f_i / t^v1) w^-1 times the pivot; t^(N-v1) (f, g) = (0, t^(N-v1) g)
-        piv = firsts.index(v1)
-        f, g = rows[piv]
-        rest = n - v1
-        inv = _unit_inverse(field, f[v1:])
-        shifted = np.zeros_like(g)
-        shifted[rest:] = g[:v1]
-        kernel = [shifted]
-        for i, (fi, gi) in enumerate(rows):
-            if i != piv:
-                c = _poly_mul(field, fi[v1:], inv, rest)
-                kernel.append((gi - _poly_mul(field, c, g, n)) % p)
-    v2 = min(_valuation(x) for x in kernel)
+        return n - min(_valuation(y) for y in b)
+    # pivot (t^v1 w, g), w a unit.  The part with first coordinate 0 is
+    # spanned by the u-rows (0, a_i), least valuation v1; by
+    # t^(N-v1) (t^v1 w, g) = (0, t^(N-v1) g); and, for every other row,
+    # by w (a_i, b_i) - (a_i / t^v1) (t^v1 w, g) = (0, w b_i - (a_i / t^v1) g),
+    # the unit multiple of a reduced row, so w is never inverted.
+    piv = firsts.index(v1)
+    w, g = a[piv, v1:], b[piv]
+    v2 = min(v1, n - v1 + _valuation(g[:v1]))
+    for i in range(len(a)):
+        if i != piv:
+            y = (_poly_mul(field, w, b[i], n) - _poly_mul(field, a[i, v1:], g, n)) % p
+            v2 = min(v2, _valuation(y))
     return (n - v1) + (n - v2)
 
 

@@ -43,10 +43,10 @@ def _fq_str(e: FqElem) -> str:
 
 
 def _parse_fq(field: FieldSpec, text: str) -> FqElem:
-    coeffs = [int(part) for part in text.split(":")]
-    if len(coeffs) > field.m or not all(0 <= c < field.p for c in coeffs):
+    parts = text.split(":")
+    if len(parts) > field.m or not all(part.isdecimal() and int(part) < field.p for part in parts):
         raise ValueError(f"--params entries must be at most m = {field.m} residues in [0, {field.p}), got {text!r}")
-    return field.element(coeffs)
+    return field.element(map(int, parts))
 
 
 def _parse_params(field: FieldSpec, text: str) -> tuple[FqElem, ...]:

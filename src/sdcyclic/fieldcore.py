@@ -262,6 +262,19 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
 
+def _check_reduced(field: FieldSpec, coeffs: Sequence[FqElem]) -> None:
+    """Refuse with ``ValueError``, naming the first one, coefficients that
+    are not m residues in [0, p).  One pass over all entries at C speed
+    collects their distinct values; the loop only runs to name the bad
+    coefficient."""
+    m, p = field.m, field.p
+    values = set(itertools.chain.from_iterable(coeffs))
+    if not (set(map(len, coeffs)) <= {m} and (not values or (min(values) >= 0 and max(values) < p))):
+        for c in coeffs:
+            if len(c) != m or any(not 0 <= v < p for v in c):
+                raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
+
+
 # The modulus search is refused above this degree.  Its cost grows about
 # as m^3 log p: at p = 2039 and m = 100 it takes about 10 s.
 MAX_EXTENSION_DEGREE = 100

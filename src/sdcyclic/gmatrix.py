@@ -36,9 +36,11 @@ def _checked_order(p: int, lam: int) -> int:
         raise ValueError(f"p must be an odd prime, got {p}")
     if lam < 0:
         raise ValueError(f"level must be >= 0, got {lam}")
-    n = p**lam
-    if n > SIZE_CAP:
-        raise ValueError(f"p**lam = {n} exceeds size cap {SIZE_CAP}")
+    # p >= 3, so every level from the cap's bit length on exceeds it; the
+    # power is built only below that level.
+    n = p**lam if lam < SIZE_CAP.bit_length() else None
+    if n is None or n > SIZE_CAP:
+        raise ValueError(f"p**lam = {n or f'{p}**{lam}'} exceeds size cap {SIZE_CAP}")
     return n
 
 
@@ -143,9 +145,10 @@ def _solution_basis(p: int, l: int, delta: int) -> np.ndarray:
     2j-1 meets its own row, which is always at or below row delta+1."""
     if not 0 <= delta < l:
         raise ValueError(f"need 0 <= delta < l, got delta={delta}, l={l}")
+    g = g_truncated(p, l)  # refuses l above the size cap before any allocation
     jmin, jmax = column_index_range(l, delta)
     cols = np.arange(2 * jmin - 2, 2 * jmax - 1, 2)  # 0-based 2j-2
-    out = g_truncated(p, l)[delta:, cols]
+    out = g[delta:, cols]
     diag = cols - delta, np.arange(len(cols))
     out[diag] = (out[diag] + 1) % p
     out.setflags(write=False)

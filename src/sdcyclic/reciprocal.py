@@ -17,14 +17,13 @@ columns, truncated, as one read-only array over F_p, cut from G_l by
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
 from typing import Sequence
 
 from ._numpy import np
 from .binomial import _binom_grid
-from .fieldcore import FieldSpec, FqElem
+from .fieldcore import FieldSpec, FqElem, _check_reduced
 from .gmatrix import _solution_basis, min_level
 
 XM1_TO_STD = "xm1_to_std"
@@ -42,14 +41,7 @@ class XPoly(namedtuple("XPoly", "field l coeffs")):
             raise ValueError(f"modulus exponent must be >= 0, got {l}")
         if len(coeffs) != l:
             raise ValueError(f"expected {l} coefficients, got {len(coeffs)}")
-        m, p = field.m, field.p
-        # One pass over all entries at C speed; the loop below only runs
-        # to name the first bad coefficient.
-        flat = list(itertools.chain.from_iterable(coeffs))
-        if not (set(map(len, coeffs)) <= {m} and (not flat or (min(flat) >= 0 and max(flat) < p))):
-            for c in coeffs:
-                if len(c) != m or any(not 0 <= v < p for v in c):
-                    raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
+        _check_reduced(field, coeffs)
         return super().__new__(cls, field, l, coeffs)
 
 

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,22 @@ def test_rideal_validation(f3):
         )
 
 
+def test_rideal_refuses_malformed_coefficients(f3, f9):
+    # a coefficient of the wrong length would shift every later entry of
+    # the verifier's array: (1, 2) here once read as a dimension-6 ideal
+    zero = (f3.zero(), f3.zero())
+    bad = [((1,), (0,)), ((1, 2), (0,)), zero]
+    with pytest.raises(ValueError, match=r"coefficient \(1, 2\) is not a reduced F_3\^1 tuple"):
+        RIdealGens(field=f3, ring_sign=1, generators=(tuple(bad),))
+    for c in ((3,), (-1,), ()):
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(str(c))} is not a reduced"):
+            RIdealGens(field=f3, ring_sign=-1, generators=(_const_gen(f3, 3, 1), ((c, (0,)), zero, zero)))
+    with pytest.raises(ValueError, match=r"coefficient \(1,\) is not a reduced F_3\^2 tuple"):
+        RIdealGens(field=f9, ring_sign=1, generators=((((1, 0), (1,)),),))
+    with pytest.raises(ValueError, match="pairs"):
+        RIdealGens(field=f3, ring_sign=1, generators=((((1,), (0,), (0,)), zero, zero),))
+
+
 # -- the structured verifier against the dense orbit/rref oracle
 
 
@@ -368,7 +385,7 @@ def _random_ideal(rng, p, m, s, sign):
     field = find_irreducible(p, m)
     n = p**s
     gens = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.1:
             a = b = np.zeros((n, m), dtype=np.int64)
         else:
@@ -379,7 +396,7 @@ def _random_ideal(rng, p, m, s, sign):
 
 def test_structured_verifier_matches_oracle_on_random_ideals():
     rng = random.Random(2019)
-    shapes = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1)]
+    shapes = [(3, 1, 1), (3, 1, 2), (5, 1, 1), (5, 1, 2), (7, 1, 1), (3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1)]
     dims = set()
     for trial in range(500):
         p, m, s = shapes[trial % len(shapes)]
@@ -388,6 +405,29 @@ def test_structured_verifier_matches_oracle_on_random_ideals():
         dims.add((gens.n, span_dimension(gens)))
     # the sample reaches zero, full and in-between dimensions at N = 9
     assert {(9, 0), (9, 18)} <= dims and len({d for n, d in dims if n == 9}) > 10
+
+
+def test_span_dimension_scales_each_row_by_the_pivot_unit(f3):
+    """Rows (2 t^2, t) and (t^2, c t) over F_3, N = 9: the reduced row
+    2 (t^2, c t) - (2 t^2, t) = (0, (2c - 1) t) cancels only at c = 2, so
+    the answer depends on scaling by the pivot's unit part w = 2."""
+    n = 9
+    for sign in (1, -1):
+        def t_power(e, c):
+            r = np.zeros((n, 1), dtype=np.int64)
+            r[0] = c
+            for _ in range(e):
+                r = _times_t(r, sign, 3)
+            return r
+
+        for c, v2 in ((1, 1), (2, 2)):
+            rows = ((t_power(2, 2), t_power(1, 1)), (t_power(2, 1), t_power(1, c)))
+            gens = RIdealGens(
+                field=f3,
+                ring_sign=sign,
+                generators=tuple(tuple((tuple(map(int, x)), tuple(map(int, y))) for x, y in zip(a, b)) for a, b in rows),
+            )
+            assert span_dimension(gens) == _dense_dimension(gens) == 2 * n - 2 - v2
 
 
 def test_t_adic_conversion_is_pascal_with_signs():

@@ -260,6 +260,14 @@ def test_build_refuses_params_outside_the_residues(capsys, m, params):
     assert err.startswith("error: --params") and "[0, 3)" in err
 
 
+@pytest.mark.parametrize("m,params", [(1, "1,,2"), (1, "1,x"), (1, ":"), (1, ",1"), (2, "1:,1"), (2, "1: 1,1")])
+def test_build_refuses_malformed_params(capsys, m, params):
+    argv = ("build", "-p", "3", "-m", str(m), "-s", "2", "--k", "0", f"--params={params}")
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.startswith("error: --params entries must be at most m = ") and "residues in [0, 3)" in err
+
+
 def test_build_params_in_range_are_printed_as_before(capsys):
     argv = ("build", "-p", "3", "-m", "1", "-s", "2", "--k", "0", "--params", "2,1")
     status, out, _ = run(capsys, *argv)
@@ -975,6 +983,25 @@ def _in_a_child(script, *args):
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-p", "3", "-m", "1", "-s", "100000000000"),
+        ("gmatrix", "-p", "3", "--lambda", "100000000000"),
+        ("gmatrix", "-p", "3", "--lambda", "10000"),
+        ("gmatrix", "-p", "3", "--l", "1000000000000000000", "--delta", "3"),
+    ],
+)
+def test_a_length_far_above_the_size_cap_is_refused_at_once(argv):
+    """p**lam is never built for the refusal, nor anything of length l."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    run = subprocess.run(
+        [sys.executable, "-m", "sdcyclic.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: p**lam = 3**") and run.stderr.endswith(" exceeds size cap 2048\n")
 
 
 def test_count_and_refusals_leave_numpy_unloaded():

@@ -179,6 +179,17 @@ def test_size_cap_guard():
         g_truncated(3, 2049)
 
 
+def test_size_cap_guard_never_builds_the_power():
+    # 3**10000 has too many digits for the refusal to print, and
+    # 3**(10**11) alone would take hours to build
+    for lam in (12, 10000, 10**11):
+        with pytest.raises(ValueError, match=f"p\\*\\*lam = 3\\*\\*{lam} exceeds size cap 2048"):
+            build_g_direct(3, lam)
+    # the solution basis checks the cap before it lists its column indices
+    with pytest.raises(ValueError, match="exceeds size cap 2048"):
+        solution_column(3, 10**18, 1, delta=3)
+
+
 def test_solution_column_reference_values():
     assert solution_column(3, 8, 3, delta=4).tolist() == [2, 1, 0, 1]
     assert solution_column(3, 8, 4, delta=4).tolist() == [0, 0, 2, 2]
