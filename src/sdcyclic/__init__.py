@@ -102,7 +102,7 @@ def _register(name: str) -> None:
     globals()[name] = module
 
 
-for _name in ("_numpy", "fieldcore", "binomial", "counting", "gmatrix", "reciprocal", "chainring", "enumerator"):
+for _name in ("fieldcore", "binomial", "counting", "gmatrix", "reciprocal", "chainring", "enumerator"):
     _register(_name)
 del _name
 

@@ -22,16 +22,15 @@ import io
 import itertools
 import math
 import operator
+import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-from ._numpy import np
 
 # Library modules are imported by the subcommands that use them, so that
 # a command runs only the modules it needs.
 if TYPE_CHECKING:
     from .chainring import RIdealGens
-    from .enumerator import CodeSpec, _Block
+    from .enumerator import CodeSpec, Coords, _Block
     from .fieldcore import FieldSpec, FqElem
 
 
@@ -75,42 +74,38 @@ def _coeff_texts(p: int, m: int) -> tuple[str, ...]:
     return tuple(f"({':'.join(map(str, e))})" for e in itertools.product(range(p), repeat=m))
 
 
-def _rows_json(arr: np.ndarray) -> str:
-    """A (rows, m) integer array as compact json: a list of lists."""
-    if not len(arr):
+def _poly_json(poly: Coords) -> str:
+    """A polynomial's coefficients as compact json: a list of lists."""
+    if not poly[0]:
         return "[]"
-    if arr.shape[1] == 1:
-        inner = "],[".join(map(str, arr.ravel().tolist()))
-    else:
-        inner = "],[".join([",".join(map(str, row)) for row in arr.tolist()])
+    inner = "],[".join(map(",".join, zip(*[map(str, coord) for coord in poly])))
     return f"[[{inner}]]"
 
 
-def _params_text(params: np.ndarray) -> str:
-    """A (w, m) parameter row as printed: elements joined by ',', each
+def _params_text(params: Sequence[int], m: int) -> str:
+    """A flat parameter tuple as printed: elements joined by ',', each
     its colon-joined coefficients."""
-    if params.shape[1] == 1:
-        return ",".join(map(str, params.ravel().tolist()))
-    return ",".join([":".join(map(str, e)) for e in params.tolist()])
+    return ",".join(map(":".join, zip(*[map(str, params)] * m)))
 
 
-def _poly_text(arr: np.ndarray, p: int) -> str:
-    """A polynomial given as an (N, m) array of standard coefficients, as
-    text: nonzero terms low degree first, joined by '+'; a coefficient is
-    its colon-joined field coefficients, in parentheses when m > 1, and
-    is left out when it is 1 in front of a power of x; '0' for zero."""
-    m = arr.shape[1]
-    xs = _x_powers(len(arr))
+def _poly_text(poly: Coords, p: int) -> str:
+    """A polynomial given by the coordinates of its standard coefficients,
+    as text: nonzero terms low degree first, joined by '+'; a coefficient
+    is its colon-joined field coefficients, in parentheses when m > 1,
+    and is left out when it is 1 in front of a power of x; '0' for zero."""
+    m = len(poly)
+    xs = _x_powers(len(poly[0]))
     if m > 1 and p**m > COEFF_TABLE_MAX:
-        degrees = np.flatnonzero(arr.any(axis=1)).tolist()
-        terms = [f"({_fq_str(c)}){xs[d]}" for d, c in zip(degrees, arr[degrees].tolist())]
+        terms = [f"({_fq_str(c)}){xs[d]}" for d, c in enumerate(zip(*poly)) if any(c)]
         return "+".join(terms) or "0"
     # each coefficient's position in the field's element order
-    index = arr[:, 0] if m == 1 else arr @ p ** np.arange(m - 1, -1, -1)
-    degrees = np.flatnonzero(index).tolist()
+    index = poly[0]
+    for coord in poly[1:]:
+        index = [i * p + c for i, c in zip(index, coord)]
+    degrees = list(itertools.compress(range(len(index)), index))
     if not degrees:
         return "0"
-    values = index[degrees].tolist()
+    values = list(filter(None, index))
     terms = list(map(operator.add, map(_coeff_texts(p, m).__getitem__, values), map(xs.__getitem__, degrees)))
     if m == 1 and degrees[0] == 0:
         terms[0] = str(values[0])
@@ -122,22 +117,23 @@ def _row_renderer(block: _Block, fmt: str):
     family's constant pieces (label head, u-part, second generator, json
     prefix and suffix) are put together once; per code only the
     parameters and the main part ``a`` of the first generator are
-    rendered.  Returns ``render(index, params, a)`` for a (w, m)
-    parameter row and an (N, m) array ``a``: the line, newline included."""
+    rendered.  Returns ``render(index, params, a)`` for a flat parameter
+    tuple and the coordinates ``a``: the line, newline included."""
     d = block.desc
+    m = block.field.m
     if fmt == "json":
-        head = _json_dumps({"p": d.p, "m": block.field.m, "s": d.s, "case": d.sub, "nu": d.nu, "k": d.k})
+        head = _json_dumps({"p": d.p, "m": m, "s": d.s, "case": d.sub, "nu": d.nu, "k": d.k})
         head = head[:-1] + ',"params":'
         mid = ',"generators":[{"a":{"basis":"std","coeffs":'
-        gens = [',"b":' + _json_dumps(poly_to_obj(block.u.tolist())) + "}"]
+        gens = [',"b":' + _json_dumps(poly_to_obj(list(zip(*block.u)))) + "}"]
         if block.second is not None:
-            zero = np.zeros_like(block.second)
-            second = {"a": poly_to_obj(block.second.tolist()), "b": poly_to_obj(zero.tolist())}
+            zero = [(0,) * m] * len(block.second[0])
+            second = {"a": poly_to_obj(list(zip(*block.second))), "b": poly_to_obj(zero)}
             gens.append("," + _json_dumps(second))
         tail = "}" + "".join(gens) + f'],"ring_sign":{block.ring_sign}}}\n'
 
-        def render(index: int, params: np.ndarray, a: np.ndarray) -> str:
-            return head + _rows_json(params) + mid + _rows_json(a) + tail
+        def render(index: int, params: Sequence[int], a: Coords) -> str:
+            return head + _poly_json(tuple(params[t::m] for t in range(m))) + mid + _poly_json(a) + tail
 
         return render
     head = f" case={d.sub} nu={d.nu} k={d.k} params=["
@@ -147,10 +143,10 @@ def _row_renderer(block: _Block, fmt: str):
         tail += f"; {_poly_text(block.second, d.p)}"
     tail += ">\n"
 
-    def render(index: int, params: np.ndarray, a: np.ndarray) -> str:
+    def render(index: int, params: Sequence[int], a: Coords) -> str:
         a_str = _poly_text(a, d.p)
         joint = "" if a_str == "0" else a_str + "+"
-        return f"index={index}{head}{_params_text(params)}] <{joint}{tail}"
+        return f"index={index}{head}{_params_text(params, m)}] <{joint}{tail}"
 
     return render
 
@@ -168,44 +164,43 @@ def _block_lines(blocks: Iterable[_Block], fmt: str, first_index: int) -> Iterat
             index += 1
 
 
-def _cell_table(count: int, width: int, sep: str) -> np.ndarray:
-    """The bytes of each value below ``count`` as a matrix cell: its
-    digits after leading spaces to ``width``, then ``sep``; one row per
-    value."""
-    text = "".join([f"{v:>{width}}{sep}" for v in range(count)])
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(count, width + 1)
-
-
-def _matrix_chunks(p: int, rows: int, cols: int, blocks: Iterable[np.ndarray], fmt: str) -> Iterator[str]:
+def _matrix_chunks(p: int, rows: int, cols: int, blocks: Iterable[Sequence[int]], fmt: str) -> Iterator[str]:
     """The text or json form of a ``rows x cols`` matrix of residues mod
-    p, given as consecutive row blocks, one piece per block, each
+    p, given as consecutive blocks of rows, each row packed in 2-byte
+    slots (``gmatrix.ROW_SLOT_BYTES``); one piece per block, each
     rendered only when it is asked for.  Text is rows of right-aligned
     entries, all of the width of p - 1; json is the same cells with ','
-    between them, each row in brackets and the padding removed.  A cell
-    is gathered from a byte table of the values up to the largest one
-    present, so the table never grows with p alone."""
+    between them, each row in brackets and the padding removed.  When
+    p - 1 has one digit, each slot plus a separator in its high byte is
+    two bytes of the row's text after one ``bytes.translate``; else each
+    cell is read from a table of the cells a slot can hold."""
     width = len(str(p - 1))
-    sep, row_end = (",", "]") if fmt == "json" else (" ", "\n")
+    sep = "," if fmt == "json" else " "
+    if width == 1:
+        seps = ord(sep) * (((1 << 16 * cols) - 1) // 0xFFFF) << 8
+        digits = bytes.maketrans(bytes(range(p)), "".join(map(str, range(p))).encode())
+
+        def cells(row: int) -> str:
+            return (row + seps).to_bytes(2 * cols, "little").translate(digits).decode("ascii")
+    else:
+        from .fieldcore import _unpack
+
+        texts = [f"{v}," if fmt == "json" else f"{v:>{width}} " for v in range(min(p, 1 << 16))]
+
+        def cells(row: int) -> str:
+            return "".join(map(texts.__getitem__, _unpack(row, cols, 2)))
+
     if fmt == "json":
         yield f'{{"p":{p},"rows":{rows},"cols":{cols},"entries":['
-    table = _cell_table(0, width, sep)
     done = 0
     for block in blocks:
-        count = int(block.max()) + 1
-        if count > len(table):
-            table = _cell_table(count, width, sep)
-        cells = table.take(block, axis=0)
-        cells[:, -1, -1] = ord(row_end)
         if fmt == "json":
-            grid = np.empty((len(block), cols * (width + 1) + 2), dtype=np.uint8)
-            grid[:, 0], grid[:, -1] = ord("["), ord(",")
-            grid[:, 1:-1] = cells.reshape(len(block), -1)
-            body = grid[grid != ord(" ")].tobytes()
+            piece = "".join([f"[{cells(row)[:-1]}]," for row in block])
         else:
-            body = cells.tobytes()
+            piece = "".join([f"{cells(row)[:-1]}\n" for row in block])
         done += len(block)
         # the last row ends the list (json) or the output (text)
-        yield (body if done < rows else body[:-1]).decode("ascii")
+        yield piece if done < rows else piece[:-1]
     if fmt == "json":
         yield "]}"
 
@@ -339,7 +334,7 @@ def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
 
     basis = _solution_basis(p, l, delta)
     jmin = column_index_range(l, delta)[0]
-    columns = ((j, col.tolist()) for j, col in enumerate(basis.T, jmin))
+    columns = enumerate(zip(*basis), jmin)
     if fmt == "json":
         yield f'{{"p":{p},"l":{l},"delta":{delta},"vectors":['
         for n, (j, values) in enumerate(columns):
@@ -368,15 +363,8 @@ def _cmd_gmatrix(args) -> int:
     lam = args.lam if args.l is None else min_level(p, args.l)
     n = _checked_order(p, lam)
     size = n if args.l is None else args.l
-
-    def blocks() -> Iterator[np.ndarray]:
-        for start, block in _g_rows(p, lam, size):
-            if shift:
-                diag = np.arange(len(block))
-                block[diag, start + diag] = (block[diag, start + diag] + shift) % p
-            yield block
-
-    return _write(args.out, itertools.chain(_matrix_chunks(p, size, size, blocks(), args.format), ["\n"]))
+    blocks = (block for _, block in _g_rows(p, size, shift))
+    return _write(args.out, itertools.chain(_matrix_chunks(p, size, size, blocks, args.format), ["\n"]))
 
 
 # text and json print totals estimated at up to this many decimal digits:
@@ -510,7 +498,7 @@ def _cmd_verify(args) -> int:
             good += 1
             continue
         reason = _self_dual_failure(gens, args.s)
-        label = f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{_params_text(params)}]"
+        label = f"index={index} case={d.sub} nu={d.nu} k={d.k} params=[{_params_text(params, args.m)}]"
         print(f"{label} ring={ring}: {reason}", file=sys.stderr)
     _write(args.out, [f"{good}/{total} self-dual\n"])
     return 0 if good == total else 1
@@ -603,13 +591,23 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader went away: not a refusal, see ``main``
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        status = dispatch()
+    except BrokenPipeError:
+        # stdout's reader closed it (``| head``): end quietly, with fd 1 on
+        # devnull so that the flush at shutdown has nothing to report, and
+        # with the status a shell reports for a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 128 + 13
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """The parameter families of the self-dual cyclic codes of length
 N = p^s over F_{p^m} + u F_{p^m}, and the closed-form count: integer work
-only, no matrices and no numpy.
+only, no matrices.
 
 A family is one torsion exponent class ('k0', 'even-k' or 'odd-k') with
 its support window [delta, l) and its number of free field parameters,

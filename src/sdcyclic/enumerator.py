@@ -20,12 +20,12 @@ resumable by plain index.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from ._numpy import np
-from .chainring import RIdealGens, RVector, _gens_array
+from .chainring import RIdealGens, _Rows
 from .counting import (  # noqa: F401  (re-exported)
     CaseDescriptor,
     _validate_ps,
@@ -33,15 +33,19 @@ from .counting import (  # noqa: F401  (re-exported)
     count_self_dual,
     descriptor_count,
 )
-from .fieldcore import FieldSpec, FqElem, find_irreducible
+from .fieldcore import FieldSpec, FqElem, _pack, _residues, _slot_bytes, find_irreducible
 from .gmatrix import _checked_order
-from .reciprocal import XM1_TO_STD, XPoly, _conv_matrix, _from_array, solution_basis
+from .reciprocal import XPoly, _combine, _conv_rows, solution_basis
+
+# A polynomial over F_{p^m} of a block is a tuple of m coordinate tuples,
+# the residues of each coordinate low degree first; parameters are flat
+# tuples, parameter j's coordinate t at position j*m + t.
+Coords = tuple[tuple[int, ...], ...]
 
 
 def _code_families(p: int, s: int) -> list[CaseDescriptor]:
-    """``classify_cases`` for building codes.  Every code of length
-    N = p^s needs N x N matrices, so a length above the matrix size cap
-    is refused before the (N - 1)/2 families are listed."""
+    """``classify_cases`` for building codes.  A length above the matrix
+    size cap is refused before the (N - 1)/2 families are listed."""
     _validate_ps(p, s)
     _checked_order(p, s)
     return classify_cases(p, s)
@@ -70,25 +74,29 @@ class CodeSpec(NamedTuple):
 
 class _FamilyPlan(NamedTuple):
     """Everything a code of one family needs that does not depend on the
-    parameters, built once per family.  All arrays are read-only.
+    parameters, built once per family.
 
-    cols: the (l - delta) x dim solution-basis columns over F_p.
-    conv: columns [k+1+delta, k+1+l) of the (x-1)-adic -> standard
-        conversion matrix, an N x (l - delta) view.
-    u: the u-part (x-1)^k in standard coordinates, N x m.
-    second: the second generator's main part (x-1)^(N-k), N x m, or
-        None when k = 0.
+    cols: the dim solution-basis columns over F_p, each packed over
+        l - delta slots.
+    conv: the standard coefficients of (x-1)^e for e in [k+1+delta, k+1+l),
+        each packed over N slots: the (x-1)-adic -> standard change of
+        basis of the coefficients b_delta, ..., b_(l-1).
+    widths: the slot bytes of ``cols`` and of ``conv``.
+    u: the u-part (x-1)^k in standard coordinates.
+    second: the second generator's main part (x-1)^(N-k), or None when
+        k = 0.
     """
 
-    cols: np.ndarray
-    conv: np.ndarray
-    u: np.ndarray
-    second: np.ndarray | None
+    cols: tuple[int, ...]
+    conv: tuple[int, ...]
+    widths: tuple[int, int]
+    u: Coords
+    second: Coords | None
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _scalar(m: int, values: Sequence[int]) -> Coords:
+    """The polynomial with F_p coefficients ``values``, as coordinates."""
+    return (tuple(values),) + ((0,) * len(values),) * (m - 1)
 
 
 # Small, so memory stays flat over long sweeps; the enumeration stream
@@ -96,17 +104,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
     n = _checked_order(desc.p, desc.s)
-    k, l, delta = desc.k, desc.l, desc.delta
-    cols = solution_basis(field, l, delta) if l > 0 else _read_only(np.zeros((0, 0), dtype=np.int64))
-    conv = _conv_matrix(field.p, n, XM1_TO_STD)
-    # (x-1)^j in standard coordinates is column j of the conversion matrix
-    u = _read_only(np.outer(conv[:, k], field.one()))
-    second = _read_only(np.outer(conv[:, n - k], field.one())) if k > 0 else None
-    return _FamilyPlan(cols, conv[:, k + 1 + delta : k + 1 + l], u, second)
+    p, m, k, l, delta = field.p, field.m, desc.k, desc.l, desc.delta
+    basis = solution_basis(field, l, delta) if l > 0 else ()
+    col_width = _slot_bytes(max(1, desc.free_param_count) * (p - 1) ** 2)
+    cols = tuple(_pack(col, col_width) for col in zip(*basis))
+    conv_width, rows = _conv_rows(p, n, -1)
+
+    def power(e: int) -> Coords:
+        return _scalar(m, _residues(rows[e], n, conv_width, p))
+
+    second = power(n - k) if k > 0 else None
+    return _FamilyPlan(cols, rows[k + 1 + delta : k + 1 + l], (col_width, conv_width), power(k), second)
 
 
-# Most codes one block holds, and most int64 entries of its first-generator
-# array, so a block stays within 2 MB whatever N and m are.
+# Most codes one block holds, and most coefficients its first generators
+# hold, so a block stays small whatever N and m are.
 BLOCK_CODES = 256
 BLOCK_ENTRIES = 1 << 18
 
@@ -115,76 +127,93 @@ class _Block(NamedTuple):
     """Up to ``BLOCK_CODES`` consecutive codes of one family over
     ``field``, in the ring x^N - ring_sign.
 
-    params: (C, w, m) free parameters, one row per code.
-    b: (C, l - delta, m) the (x-1)-adic coefficients of b from delta on
-        (those below delta are 0), as in the cyclic code.
-    a: (C, N, m) main parts of the first generators, standard coordinates.
+    params: one flat parameter tuple per code.
+    b: per code, the (x-1)-adic coefficients of b from delta on (those
+        below delta are 0), as in the cyclic code.
+    a: per code, the main part of the first generator, standard
+        coordinates.
     u / second: the family's parameter-free parts in the same ring: the
         first generator's u-part and the second generator's main part
-        (None when k = 0), N x m each.
+        (None when k = 0).
     """
 
     desc: CaseDescriptor
     field: FieldSpec
     ring_sign: int
-    params: np.ndarray
-    b: np.ndarray
-    a: np.ndarray
-    u: np.ndarray
-    second: np.ndarray | None
+    params: tuple[tuple[int, ...], ...]
+    b: tuple[Coords, ...]
+    a: tuple[Coords, ...]
+    u: Coords
+    second: Coords | None
 
 
-def _negate_odd_degrees(arr: np.ndarray, p: int) -> np.ndarray:
-    """The image of x -> -x on standard coefficients, degree on axis -2
-    and field coefficients on axis -1: one sign mask, -1 on odd degrees."""
-    n = arr.shape[-2]
-    sign = 1 - 2 * (np.arange(n, dtype=np.int64) % 2)
-    return arr * sign[:, None] % p
+def _negate_odd_degrees(poly: Coords, p: int) -> Coords:
+    """The image of x -> -x on standard coefficients: every coordinate's
+    odd-degree entries negated mod p."""
+    out = []
+    for coord in poly:
+        flipped = list(coord)
+        flipped[1::2] = [(p - v) % p for v in coord[1::2]]
+        out.append(tuple(flipped))
+    return tuple(out)
 
 
-def _block(desc: CaseDescriptor, field: FieldSpec, params: np.ndarray, ring_sign: int = 1) -> _Block:
-    """The codes of one family for a (C, w, m) parameter array, all rows
-    at once: ``b = cols . params`` and ``a = conv . b`` (mod p), and for
-    ring_sign = -1 the whole block flipped by one sign mask."""
+def _block(desc: CaseDescriptor, field: FieldSpec, params: Sequence[tuple[int, ...]], ring_sign: int = 1) -> _Block:
+    """The codes of one family for a sequence of flat parameter tuples:
+    per code and field coordinate, ``b = cols . params`` and
+    ``a = conv . b`` (mod p), each one sum of packed columns; for
+    ring_sign = -1 every polynomial flipped by x -> -x."""
     plan = _family_plan(desc, field)
-    p = field.p
-    b = np.matmul(plan.cols, params) % p
-    a = np.matmul(plan.conv, b) % p
+    p, m, n = field.p, field.m, desc.p**desc.s
+    size = desc.l - desc.delta
+    col_width, conv_width = plan.widths
+    bs, mains = [], []
+    for flat in params:
+        b = tuple(tuple(_combine(p, size, col_width, plan.cols, flat[t::m])) for t in range(m))
+        bs.append(b)
+        mains.append(tuple(tuple(_combine(p, n, conv_width, plan.conv, coord)) for coord in b))
     u, second = plan.u, plan.second
     if ring_sign == -1:
-        a, u = _negate_odd_degrees(a, p), _negate_odd_degrees(u, p)
+        mains = [_negate_odd_degrees(a, p) for a in mains]
+        u = _negate_odd_degrees(u, p)
         second = None if second is None else _negate_odd_degrees(second, p)
-    return _Block(desc, field, ring_sign, params, b, a, u, second)
+    return _Block(desc, field, ring_sign, tuple(params), tuple(bs), tuple(mains), u, second)
 
 
-def _generators(block: _Block) -> Iterator[RIdealGens]:
-    """Each row's generators, in the block's ring, converted one at a time."""
-    field = block.field
-    u = _from_array(block.u)
-    rest: tuple[RVector, ...] = ()
-    if block.second is not None:
-        rest = (tuple((c, field.zero()) for c in _from_array(block.second)),)
+def _elements(poly: Coords) -> tuple[FqElem, ...]:
+    """The coefficients of a polynomial as field-element tuples."""
+    return tuple(zip(*poly))
+
+
+def _generators(block: _Block) -> Iterator[_Rows]:
+    """Each row's generators, in the block's ring, as the verifier reads
+    them: (main part, u-part) pairs, unchecked."""
+    zero = None if block.second is None else tuple((0,) * len(c) for c in block.second)
+    rest = () if block.second is None else ((block.second, zero),)
     for a in block.a:
-        yield RIdealGens(field, block.ring_sign, (tuple(zip(_from_array(a), u)),) + rest)
+        yield _Rows(block.field, block.ring_sign, ((a, block.u),) + rest)
 
 
 def _codes(block: _Block) -> Iterator[CodeSpec]:
     """The cyclic block's rows as ``CodeSpec``s, converted one at a time."""
     desc, field = block.desc, block.field
+    m = field.m
     pad = (field.zero(),) * desc.delta
-    for params, b, gens in zip(block.params, block.b, _generators(block)):
-        yield CodeSpec(desc, _from_array(params), XPoly(field, desc.l, pad + _from_array(b)), gens)
+    for flat, b, rows in zip(block.params, block.b, _generators(block)):
+        gens = tuple(tuple(zip(_elements(a), _elements(bu))) for a, bu in rows.generators)
+        params = tuple(zip(*[iter(flat)] * m))
+        yield CodeSpec(desc, params, XPoly(field, desc.l, pad + _elements(b)), RIdealGens(field, block.ring_sign, gens))
 
 
-def _checked_params(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> np.ndarray:
-    """One code's parameters as a (1, w, m) block, each normalised by
-    ``field.element`` and their number checked."""
+def _checked_params(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> tuple[tuple[int, ...]]:
+    """One code's parameters as a one-code block of flat tuples, each
+    normalised by ``field.element`` and their number checked."""
     if field.p != desc.p:
         raise ValueError(f"field characteristic {field.p} does not match descriptor p={desc.p}")
     norm = [field.element(a) for a in params]
     if len(norm) != desc.free_param_count:
         raise ValueError(f"expected {desc.free_param_count} parameters, got {len(norm)}")
-    return np.array(norm, dtype=np.int64).reshape(1, len(norm), field.m)
+    return (tuple(itertools.chain.from_iterable(norm)),)
 
 
 def build_code(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> CodeSpec:
@@ -202,30 +231,27 @@ def _base_p_digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _decode_block(field: FieldSpec, width: int, start: int, count: int) -> np.ndarray:
+def _decode_block(field: FieldSpec, width: int, start: int, count: int) -> tuple[tuple[int, ...], ...]:
     """The parameters of in-family indices start, ..., start + count - 1,
-    as a (count, width, m) array in lexicographic order: each index
-    written in base q = p^m with ``width`` digits, each digit d the d-th
-    element of ``field.elements()``.  Together these are the index's
-    width*m base-p digits, most significant first.
+    as flat tuples in lexicographic order: each index written in base
+    q = p^m with ``width`` digits, each digit d the d-th element of
+    ``field.elements()``.  Together these are the index's width*m base-p
+    digits, most significant first.
 
-    Exact for any ``start``: the lowest L digits, p^L >= count, are
-    decoded in int64, and the higher ones, which at most one carry
-    reaches, from ``start // p^L`` and that plus one as Python ints."""
+    Exact for any ``start``: the lowest L digits, p^L >= count, run
+    through every value in order from ``start mod p^L``, and the higher
+    ones, which at most one carry reaches, come from ``start // p^L`` and
+    that plus one."""
     p, m = field.p, field.m
     total = width * m
     low, radix = 0, 1
     while low < total and radix < count:
         low, radix = low + 1, radix * p
     high, rest = divmod(start, radix)
-    index = rest + np.arange(count, dtype=np.int64)
-    carry = (index >= radix).astype(np.intp)
-    index -= carry * radix
-    powers = p ** np.arange(low - 1, -1, -1, dtype=np.int64)
-    lows = index[:, None] // powers % p
-    heads = np.array([_base_p_digits(high + c, p, total - low) for c in (0, 1)], dtype=np.int64)
-    digits = np.concatenate([heads[carry], lows], axis=1)
-    return digits.reshape(count, width, m)
+    heads = [tuple(_base_p_digits(high + c, p, total - low)) for c in (0, 1)]
+    lows = itertools.product(range(p), repeat=low)
+    lows = itertools.chain(itertools.islice(lows, rest, None), itertools.product(range(p), repeat=low))
+    return tuple(heads[rest + i >= radix] + digits for i, digits in zip(range(count), lows))
 
 
 def _block_cap(n: int, m: int) -> int:
@@ -295,12 +321,12 @@ def to_negacyclic(code: CodeSpec) -> RIdealGens:
     map is a ring isomorphism, so it carries self-dual cyclic codes
     bijectively onto self-dual negacyclic ones."""
     field = code.generators.field
-    arr = _gens_array(code.generators)
-    size, n, _, m = arr.shape
-    # (generators, N, 2m): both parts of every coefficient, one mask
-    flipped = _negate_odd_degrees(arr.reshape(size, n, 2 * m), field.p).reshape(arr.shape)
-    generators = tuple(tuple((tuple(a), tuple(b)) for a, b in g) for g in flipped.tolist())
-    return RIdealGens(field, -1, generators)
+    generators = []
+    for g in code.generators.generators:
+        # (a | b) as 2m coordinates, one sign mask
+        flipped = _negate_odd_degrees(tuple(zip(*(a + b for a, b in g))), field.p)
+        generators.append(tuple(zip(_elements(flipped[: field.m]), _elements(flipped[field.m :]))))
+    return RIdealGens(field, -1, tuple(generators))
 
 
 def _sample_draws(

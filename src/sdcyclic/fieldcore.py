@@ -14,6 +14,8 @@ they can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -273,6 +275,55 @@ def _check_reduced(field: FieldSpec, coeffs: Sequence[FqElem]) -> None:
         for c in coeffs:
             if len(c) != m or any(not 0 <= v < p for v in c):
                 raise ValueError(f"coefficient {c} is not a reduced F_{p}^{m} tuple")
+
+
+# ---------------------------------------------------------------------------
+# Vectors packed into one Python int: entry i fills the ``width`` bytes of
+# slot i, bits [8*width*i, 8*width*(i+1)), so that a sum, a scalar
+# multiple, a shift or a polynomial product (Kronecker substitution) of
+# whole vectors is one int operation, done in C.  Every slot must stay in
+# [0, 256^width); callers pick the width from a bound on the entries.
+
+# array typecode of each machine width; wider slots go through bytes
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """The slot width, in bytes, for entries in [0, bound]: 1, 2, 4 or 8
+    when one of them suffices, else the least that does."""
+    need = max(1, -(-bound.bit_length() // 8))
+    return next((w for w in (1, 2, 4, 8) if w >= need and w in _TYPECODES), need)
+
+
+def _pack(values: Iterable[int], width: int) -> int:
+    """The int whose slot i holds ``values[i]``."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    arr = array(code, values)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+def _unpack(x: int, count: int, width: int) -> Sequence[int]:
+    """Slots 0..count-1 of the non-negative int x; higher ones are cut."""
+    size = count * width
+    if x.bit_length() > 8 * size:
+        x &= (1 << 8 * size) - 1
+    data = x.to_bytes(size, "little")
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]
+    arr = array(code, data)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr
+
+
+def _residues(x: int, count: int, width: int, p: int) -> list[int]:
+    """Slots 0..count-1 of x, each reduced mod p."""
+    return [v % p for v in _unpack(x, count, width)]
 
 
 # The modulus search is refused above this degree.  Its cost grows about

@@ -3,32 +3,40 @@
 The square matrix of order p^lam whose (i, j) entry is
 ``(-1)^(j-1) * C(p^lam - j, i - j)`` encodes the coefficient action of
 ``b(x) -> x^(-1) b(x^(-1))`` on the (x-1)-adic basis of
-``F[x]/((x-1)^(p^lam))``.  This module builds it two independent ways
-(entry formula vs. Kronecker recursion), truncates it to leading l x l
-blocks, and slices out the odd-indexed columns of ``G_l + I_l`` whose
-truncations span the fixed-point spaces of the transform
-(``_solution_basis``, the one place those columns are cut).  The
-Kronecker route is a row kernel, ``_g_rows``, that yields the leading
-rows and columns a block of rows at a time, so a caller that consumes
-the rows as they come never holds the whole matrix.
+``F[x]/((x-1)^(p^lam))``.  This module builds it three independent ways:
+from the entry formula (``build_g_direct``), as the Kronecker power of the
+order-p matrix (``build_g_kron``, the paper's construction), and from
+signed Pascal rows (the row kernel ``_g_rows``, which the printer and the
+truncations read).  It also slices out the odd-indexed columns of
+``G_l + I_l`` whose truncations span the fixed-point spaces of the
+transform (``_solution_basis``, the one place those columns are cut).
 
-Matrices and solution bases are plain read-only ``int64`` arrays with
-entries reduced into ``[0, p)``.
+The row kernel rests on one identity.  In 0-based indices the entry is
+``(-1)^j C(p^lam - 1 - j, i - j)``, and by Lucas's theorem
+``C(p^lam - 1 - j, i - j) = (-1)^(i-j) C(i, j) mod p``, so
+``G[i, j] = (-1)^i C(i, j) mod p`` at every level: row i is the i-th row
+of Pascal's triangle mod p, negated when i is odd, and the level only
+fixes the order.
+
+Matrices and solution bases are tuples of row tuples of residues in
+``[0, p)``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
-from ._numpy import np
-from .binomial import _binom_grid
+from .binomial import _lucas
 from .counting import column_index_range
-from .fieldcore import is_prime
+from .fieldcore import _unpack, is_prime
 
 # Hard stop for p^lam; full enumeration is long infeasible before this.
 SIZE_CAP = 2048
 # The row kernel yields at most this many rows at a time.
 MATRIX_BLOCK_ROWS = 64
+# Bytes per entry of a packed kernel row; 2^15 > SIZE_CAP >= p.
+ROW_SLOT_BYTES = 2
 
 
 def _checked_order(p: int, lam: int) -> int:
@@ -44,66 +52,98 @@ def _checked_order(p: int, lam: int) -> int:
     return n
 
 
-def build_g_direct(p: int, lam: int) -> np.ndarray:
+def build_g_direct(p: int, lam: int) -> tuple[tuple[int, ...], ...]:
     """Order-p^lam reciprocal matrix straight from the entry formula of
-    ``binomial.g_entry``, all entries at once.  Entry (i, j) is
-    C(n - j, (i - j) mod n) with the sign (-1)^(j-1): above the diagonal
-    (i - j) mod n = n + i - j exceeds n - j, so the binomial is 0 there."""
+    ``binomial.g_entry``, one Lucas product per entry on or below the
+    diagonal; the entries above it are 0."""
     n = _checked_order(p, lam)
-    idx = np.arange(1, n + 1, dtype=np.int32)
-    arr = _binom_grid(p, n - idx[None, :], (idx[:, None] - idx[None, :]) % n, max(lam, 1))
-    arr[:, 1::2] = (p - arr[:, 1::2]) % p
-    arr.setflags(write=False)
-    return arr
+    rows = []
+    for i in range(n):  # 0-based: (-1)^j C(n - 1 - j, i - j)
+        row = [_lucas(n - 1 - j, i - j, p) for j in range(i + 1)]
+        row[1::2] = [(p - v) % p for v in row[1::2]]
+        rows.append(tuple(row) + (0,) * (n - 1 - i))
+    return tuple(rows)
 
 
-def _g_rows(p: int, lam: int, size: int):
+class _Slots:
+    """Per-slot constants for rows of ``size`` entries mod p packed in
+    ``width``-byte slots (``fieldcore._pack``), with p <= 2^(8 width - 1)."""
+
+    def __init__(self, p: int, size: int, width: int):
+        bits = 8 * width
+        ones = ((1 << bits * size) - 1) // ((1 << bits) - 1)
+        self.p, self.bits = p, bits
+        self.all_p = p * ones
+        self.high = ones << bits - 1
+        self.bias = ((1 << bits - 1) - p) * ones
+
+    def reduce(self, x: int) -> int:
+        """x with every slot in [0, 2p) brought into [0, p): the slots at
+        or above p reach the top bit of the slot once biased by 2^(b-1) - p,
+        and lose one p."""
+        return x - (((x + self.bias) & self.high) >> self.bits - 1) * self.p
+
+    def negate(self, x: int) -> int:
+        return self.reduce(self.all_p - x)
+
+
+def _power_rows(p: int, size: int, width: int, sign: int):
+    """Yields (x + sign)^e mod p for e = 0, 1, ..., size - 1, each as its
+    ``size`` coefficients, low degree first, in packed ``width``-byte
+    slots: each from the one before by one shift-add and one reduction.
+    Needs p <= 2^(8 width - 1)."""
+    slots = _Slots(p, size, width)
+    row = 1
+    for e in range(size):
+        yield row
+        if e + 1 < size:
+            shifted = row << slots.bits
+            row = slots.reduce(shifted + row if sign == 1 else shifted + slots.all_p - row)
+
+
+def _g_rows(p: int, size: int, shift: int = 0):
     """Yields ``(start, block)``: rows ``start`` to ``start + len(block)``
-    of the leading ``size x size`` part of G_(p^lam), at most
-    ``MATRIX_BLOCK_ROWS`` rows a block, as fresh writable int64 residues.
-    The arguments must have passed ``_checked_order``, with
-    ``size <= p^lam``.  At lam = 1 a block is one gather from the Pascal
-    table and a sign mask.  Above, G_(p^lam) = G_p (x) G_(p^(lam-1)), so
-    a block within the rows of one top digit t is
-    ``G_p[t] (x) G_(p^(lam-1))[rows]``, with the small factor read from
-    the cache of full matrices."""
-    if lam == 0:
-        yield 0, np.ones((1, 1), dtype=np.int64)
-        return
-    n = p**lam
-    if lam == 1:
-        cols = np.arange(size)
-        for start in range(0, size, MATRIX_BLOCK_ROWS):
-            rows = np.arange(start, min(start + MATRIX_BLOCK_ROWS, size))
-            # entry (i, j), 0-based: (-1)^j C(n - 1 - j, (i - j) mod n), where
-            # a negative i - j reads the table at i - j + n, as numpy indexes
-            block = _binom_grid(p, n - 1 - cols, rows[:, None] - cols, 1)
-            odd = block[:, 1::2]
-            np.subtract(p, odd, out=odd, where=odd != 0)
-            yield start, block
-        return
-    g_p = _g_full(p, 1)
-    inner = _g_full(p, lam - 1)
-    m = n // p
-    digits = -(-size // m)  # top digits of the columns kept
-    start = 0
-    while start < size:
-        t, r = divmod(start, m)
-        stop = min(start + MATRIX_BLOCK_ROWS, size, (t + 1) * m)
-        block = np.kron(g_p[t, :digits], inner[r : r + stop - start]) % p
-        yield start, block[:, :size]
-        start = stop
+    of the leading ``size x size`` part of every G_(p^lam) with
+    ``size <= p^lam``, plus ``shift`` times the identity, at most
+    ``MATRIX_BLOCK_ROWS`` rows a block, as a list of packed rows in
+    ``ROW_SLOT_BYTES``-byte slots: Pascal's rows mod p, the odd ones
+    negated.  The arguments must have passed ``_checked_order``."""
+    slots = _Slots(p, size, ROW_SLOT_BYTES)
+    block: list[int] = []
+    for i, row in enumerate(_power_rows(p, size, ROW_SLOT_BYTES, 1)):
+        diag = p - 1 if i % 2 else 1  # (-1)^i
+        if i % 2:
+            row = slots.negate(row)
+        block.append(row + (((diag + shift) % p - diag) << 8 * ROW_SLOT_BYTES * i))
+        if len(block) == MATRIX_BLOCK_ROWS or i == size - 1:
+            yield i + 1 - len(block), block
+            block = []
 
 
-def build_g_kron(p: int, lam: int) -> np.ndarray:
+def _unpacked(p: int, rows, size: int) -> tuple[tuple[int, ...], ...]:
+    """The first ``size`` entries of packed kernel rows, as row tuples.
+    Every entry is the one int object of its residue, so a matrix holds
+    pointers, not ints: below 257 every residue is a cached small int
+    already, above it entries are read through a table of the p ints."""
+    if p <= 257:
+        return tuple(tuple(_unpack(row, size, ROW_SLOT_BYTES)) for row in rows)
+    residues = tuple(range(p))
+    return tuple(tuple(map(residues.__getitem__, _unpack(row, size, ROW_SLOT_BYTES))) for row in rows)
+
+
+def build_g_kron(p: int, lam: int) -> tuple[tuple[int, ...], ...]:
     """Order-p^lam reciprocal matrix as the Kronecker power of the
-    order-p one, filled block by block from ``_g_rows``; equals
+    order-p one, G_(p^lam) = G_p (x) G_(p^(lam-1)); equals
     :func:`build_g_direct` entrywise."""
     n = _checked_order(p, lam)
-    out = np.empty((n, n), dtype=np.int64)
-    for start, block in _g_rows(p, lam, n):
-        out[start : start + len(block)] = block
-    out.setflags(write=False)
+    g_p = _g_full(p, 1) if lam else ()
+    out: tuple[tuple[int, ...], ...] = ((1,),)
+    while len(out) < n:
+        # every multiple c * row of the inner matrix, c < p, once
+        scaled = [tuple(tuple(c * v % p for v in row) for row in out) for c in range(p)]
+        out = tuple(
+            tuple(chain.from_iterable(scaled[c][r] for c in top)) for top in g_p for r in range(len(out))
+        )
     return out
 
 
@@ -123,43 +163,47 @@ def min_level(p: int, l: int) -> int:
 # Every level one length under the size cap uses (3^6 <= 2048 < 3^7), so
 # a stream never builds a level twice.
 @lru_cache(maxsize=6)
-def _g_full(p: int, lam: int) -> np.ndarray:
-    """The full order-p^lam matrix, built once per level."""
-    return build_g_kron(p, lam)
+def _g_full(p: int, lam: int) -> tuple[tuple[int, ...], ...]:
+    """The full order-p^lam matrix from the row kernel, built once per
+    level."""
+    n = _checked_order(p, lam)
+    return _unpacked(p, chain.from_iterable(block for _, block in _g_rows(p, n)), n)
 
 
-# Each entry is a view that keeps its full matrix alive, so this cache is
-# bounded too: bounding ``_g_full`` alone would free nothing.
-@lru_cache(maxsize=6)
-def g_truncated(p: int, l: int) -> np.ndarray:
+# Each entry holds l^2 pointers (33 MB at l = 2038), or shares the rows
+# of ``_g_full`` at l = p^lam.
+@lru_cache(maxsize=2)
+def g_truncated(p: int, l: int) -> tuple[tuple[int, ...], ...]:
     """G_l: the l x l truncation of the minimal covering reciprocal matrix
-    (lam recomputed as the least level with l <= p^lam).  Cached; every
-    truncation is a read-only view of the one full matrix of its level."""
-    return _g_full(p, min_level(p, l))[:l, :l]
+    (lam recomputed as the least level with l <= p^lam), sliced from the
+    full matrix of its level.  Cached."""
+    return tuple(row[:l] for row in _g_full(p, min_level(p, l))[:l])
 
 
-def _solution_basis(p: int, l: int, delta: int) -> np.ndarray:
+def _solution_basis(p: int, l: int, delta: int) -> tuple[tuple[int, ...], ...]:
     """Rows delta+1..l of the odd columns 2j-1 of G_l + I_l (1-indexed),
-    for every j of ``column_index_range(l, delta)``, as the columns of a
-    read-only (l - delta) x dim array.  The identity adds 1 where column
-    2j-1 meets its own row, which is always at or below row delta+1."""
+    for every j of ``column_index_range(l, delta)``, as the columns of an
+    (l - delta) x dim matrix.  The identity adds 1 where column 2j-1
+    meets its own row, which is always at or below row delta+1."""
     if not 0 <= delta < l:
         raise ValueError(f"need 0 <= delta < l, got delta={delta}, l={l}")
-    g = g_truncated(p, l)  # refuses l above the size cap before any allocation
+    # G_l is the leading block of the whole level, which every family of
+    # the level shares; the cap is checked before any allocation
+    g = g_truncated(p, p ** min_level(p, l))
     jmin, jmax = column_index_range(l, delta)
-    cols = np.arange(2 * jmin - 2, 2 * jmax - 1, 2)  # 0-based 2j-2
-    out = g[delta:, cols]
-    diag = cols - delta, np.arange(len(cols))
-    out[diag] = (out[diag] + 1) % p
-    out.setflags(write=False)
-    return out
+    first, stop = 2 * jmin - 2, 2 * jmax - 1  # 0-based 2j-2
+    rows = [row[first:stop:2] for row in g[delta:l]]
+    for j, r in enumerate(range(first - delta, stop - delta, 2)):
+        row = rows[r]
+        rows[r] = row[:j] + ((row[j] + 1) % p,) + row[j + 1 :]
+    return tuple(rows)
 
 
-def solution_column(p: int, l: int, j: int, delta: int = 0) -> np.ndarray:
+def solution_column(p: int, l: int, j: int, delta: int = 0) -> tuple[int, ...]:
     """Rows delta+1..l of column 2j-1 of G_l + I_l: column j - jmin of
-    the solution basis, read-only."""
+    the solution basis."""
     basis = _solution_basis(p, l, delta)
     jmin, jmax = column_index_range(l, delta)
     if not jmin <= j <= jmax:
         raise ValueError(f"need {jmin} <= j <= {jmax} for delta={delta}, l={l}, got j={j}")
-    return basis[:, j - jmin]
+    return tuple(row[j - jmin] for row in basis)

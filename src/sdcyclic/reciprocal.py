@@ -11,23 +11,28 @@ l <= p^lam, never carried around.
 The transform acts on coefficient columns as the truncated reciprocal
 matrix G_l, so its fixed points are the kernel of G_l - I_l, spanned by
 the odd-indexed columns of G_l + I_l.  ``solution_basis`` returns those
-columns, truncated, as one read-only array over F_p, cut from G_l by
+columns, truncated, as the columns of a matrix over F_p, cut from G_l by
 ``gmatrix._solution_basis``.
+
+The change of basis is a sum of packed rows: the standard coefficients of
+(x-1)^i, or the (x-1)-adic ones of x^j = ((x-1) + 1)^j, from the row
+kernel ``gmatrix._power_rows``, each times one coefficient.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from ._numpy import np
-from .binomial import _binom_grid
-from .fieldcore import FieldSpec, FqElem, _check_reduced
-from .gmatrix import _solution_basis, min_level
+from .fieldcore import FieldSpec, FqElem, _check_reduced, _residues, _slot_bytes
+from .gmatrix import _power_rows, _solution_basis
 
 XM1_TO_STD = "xm1_to_std"
 STD_TO_XM1 = "std_to_xm1"
+# the x + sign whose powers each direction sums
+_ROW_SIGN = {XM1_TO_STD: -1, STD_TO_XM1: 1}
 
 
 class XPoly(namedtuple("XPoly", "field l coeffs")):
@@ -45,46 +50,43 @@ class XPoly(namedtuple("XPoly", "field l coeffs")):
         return super().__new__(cls, field, l, coeffs)
 
 
-def _to_array(coeffs: Sequence[FqElem]) -> np.ndarray:
-    return np.array(coeffs, dtype=np.int64).reshape(len(coeffs), -1)
-
-def _from_array(arr: np.ndarray) -> tuple[FqElem, ...]:
-    return tuple(map(tuple, arr.tolist()))
-
-
-# N x N each (32 MB at N = 2048); a command uses one length, in one or
-# both directions.
+# ``size`` rows of up to ``size`` slots each (18 MB at N = 2039); a command uses
+# one length, in one or both directions.
 @lru_cache(maxsize=2)
-def _conv_matrix(p: int, size: int, direction: str) -> np.ndarray:
-    """Change-of-basis matrix between the (x-1)-adic and standard
-    monomial coordinates, acting on coefficient columns."""
-    if direction not in (XM1_TO_STD, STD_TO_XM1):
-        raise ValueError(f"unknown direction {direction!r}")
-    i = np.arange(size)
-    # STD_TO_XM1: b_i = sum_j C(j, i) c_j, so entry [j, i] is C(i, j) mod p
-    mat = _binom_grid(p, i[None, :], i[:, None], min_level(p, size))
-    if direction == XM1_TO_STD:
-        # c_j = sum_i (-1)^(i-j) C(i, j) b_i
-        odd = (i[None, :] - i[:, None]) % 2 == 1
-        mat[odd] = (p - mat[odd]) % p
-    mat.setflags(write=False)
-    return mat
+def _conv_rows(p: int, size: int, sign: int) -> tuple[int, tuple[int, ...]]:
+    """(width, rows): (x + sign)^e mod p for e < size, packed in slots of
+    ``width`` bytes, wide enough for a sum of ``size`` rows each times a
+    residue."""
+    width = _slot_bytes(max(size * (p - 1) ** 2, 2 * p))
+    return width, tuple(_power_rows(p, size, width, sign))
+
+
+def _combine(p: int, size: int, width: int, rows: Sequence[int], coeffs: Sequence[int]) -> list[int]:
+    """sum(coeffs[i] * rows[i]) mod p, slot by slot, for rows of ``size``
+    packed slots: one big-int product and sum per row, all in C."""
+    return _residues(sum(map(mul, coeffs, rows)), size, width, p)
 
 
 def basis_convert(field: FieldSpec, coeffs: Sequence[FqElem], direction: str) -> tuple[FqElem, ...]:
     """Exact linear change of basis via binomial expansion; 'xm1_to_std'
     maps (x-1)-adic coefficients to standard ones, 'std_to_xm1' back.
-    Round-tripping is the identity."""
+    Round-tripping is the identity.  Coefficients that are not m
+    residues in [0, p) are refused with ``ValueError``."""
+    if direction not in _ROW_SIGN:
+        raise ValueError(f"unknown direction {direction!r}")
     if not coeffs:
         return ()
-    mat = _conv_matrix(field.p, len(coeffs), direction)
-    return _from_array((mat @ _to_array(coeffs)) % field.p)
+    _check_reduced(field, coeffs)  # a packed slot holds only sums of residues
+    p, n = field.p, len(coeffs)
+    width, rows = _conv_rows(p, n, _ROW_SIGN[direction])
+    columns = [_combine(p, n, width, rows, coord) for coord in zip(*coeffs)]
+    return tuple(zip(*columns))
 
 
-def solution_basis(field: FieldSpec, l: int, delta: int = 0) -> np.ndarray:
+def solution_basis(field: FieldSpec, l: int, delta: int = 0) -> tuple[tuple[int, ...], ...]:
     """The basis of the solutions supported on coefficients delta..l-1,
-    as the columns of a read-only (l - delta) x dim int64 array over F_p,
-    dim = ceil(l/2) - ceil(delta/2).  Its span over F_{p^m} has exactly
-    (p^m)^dim elements; a span element is ``basis @ params % p`` for a
-    (dim, m) parameter array, the zero vector when dim = 0."""
+    as the columns of an (l - delta) x dim matrix over F_p (a tuple of
+    row tuples), dim = ceil(l/2) - ceil(delta/2).  Its span over F_{p^m}
+    has exactly (p^m)^dim elements; a span element is ``basis . params``
+    mod p for a dim x m parameter matrix, the zero vector when dim = 0."""
     return _solution_basis(field.p, l, delta)

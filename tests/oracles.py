@@ -15,14 +15,20 @@
   ``kernel_oracle``.
 * The solution basis cut one column at a time from the entry-formula
   matrix (``solution_columns_oracle``), every element of the span of a
-  solution-basis array (``iter_span``), and the whole ``gmatrix`` text
-  or json as one string (``matrix_text``, ``matrix_json``).
+  solution basis (``iter_span``), and the whole ``gmatrix`` text or json
+  as one string (``matrix_text``, ``matrix_json``).
+* The change of basis between (x-1)-adic and standard coefficients as a
+  dense matrix of ``math.comb`` values (``change_of_basis``).
+
+The library returns matrices as tuples of row tuples; the oracles read
+them through ``np.asarray``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator
 
 import numpy as np
@@ -41,9 +47,38 @@ from sdcyclic import (
     g_truncated,
     min_level,
 )
-from sdcyclic.chainring import _check_int64, _reduction_rows
 from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS
-from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD, _from_array, _to_array
+from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD
+
+
+def to_array(coeffs) -> np.ndarray:
+    """Field-element tuples as an (n, m) int64 array."""
+    return np.array(coeffs, dtype=np.int64).reshape(len(coeffs), -1)
+
+
+def from_array(arr: np.ndarray) -> tuple[FqElem, ...]:
+    return tuple(map(tuple, arr.tolist()))
+
+
+def reduction_rows(field: FieldSpec) -> np.ndarray:
+    """(2m-1, m) matrix expressing x^d mod the field modulus, d < 2m-1."""
+    m = field.m
+    rows = np.zeros((2 * m - 1, m), dtype=np.int64)
+    rows[:m] = np.eye(m, dtype=np.int64)
+    for t, red in enumerate(field.reduction):
+        rows[m + t] = red
+    return rows
+
+
+def check_int64(gens: RIdealGens) -> None:
+    """Refuse sizes whose products would overflow the int64 arrays of
+    the dense oracle: no entry of any product exceeds n*m*(p-1)^2."""
+    field = gens.field
+    bound = gens.n * field.m * (field.p - 1) ** 2
+    if bound >= 2**63:
+        raise ValueError(
+            f"verifier sums reach n*m*(p-1)^2 = {bound}, beyond int64 (n={gens.n}, p={field.p}, m={field.m})"
+        )
 
 # ---------------------------------------------------------------------------
 # Scalar arithmetic in R: an element a + u*b is the pair (a, b).
@@ -96,7 +131,7 @@ def mul_arrays(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(m):
         for j in range(m):
             conv[..., i + j] += a[..., i] * b[..., j]
-    return (conv % p) @ _reduction_rows(field) % p
+    return (conv % p) @ reduction_rows(field) % p
 
 
 def orbit_rows(gens: RIdealGens) -> np.ndarray:
@@ -161,7 +196,7 @@ def canonical_form(gens: RIdealGens) -> tuple[tuple[FqElem, ...], ...]:
     as nested tuples.  Equal ideals give identical forms, so this is the
     distinctness key for code sets.  Refuses, like the verifier, sizes
     whose products would overflow int64."""
-    _check_int64(gens)
+    check_int64(gens)
     red = rref(gens.field, orbit_rows(gens))
     return tuple(tuple(tuple(int(v) for v in entry) for entry in row) for row in red.tolist())
 
@@ -175,9 +210,9 @@ def reciprocal_transform(b: XPoly) -> XPoly:
     reciprocal matrix applied to the coefficient column."""
     if b.l == 0:
         return b
-    g = g_truncated(b.field.p, b.l)
-    out = (g @ _to_array(b.coeffs)) % b.field.p
-    return XPoly(b.field, b.l, _from_array(out))
+    g = np.asarray(g_truncated(b.field.p, b.l))
+    out = (g @ to_array(b.coeffs)) % b.field.p
+    return XPoly(b.field, b.l, from_array(out))
 
 
 def reciprocal_oracle(b: XPoly) -> XPoly:
@@ -208,8 +243,8 @@ def is_solution(b: XPoly, delta: int = 0) -> bool:
         return False
     if b.l == 0:
         return True
-    g = g_truncated(b.field.p, b.l)
-    v = _to_array(b.coeffs)
+    g = np.asarray(g_truncated(b.field.p, b.l))
+    v = to_array(b.coeffs)
     return not (((g @ v) - v) % b.field.p).any()
 
 
@@ -220,7 +255,7 @@ def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tup
     total = field.order**l
     if total > guard:
         raise ValueError(f"{total} candidates exceeds the oracle guard {guard}")
-    g = g_truncated(field.p, l)
+    g = np.asarray(g_truncated(field.p, l))
     gmi = (g - np.eye(l, dtype=np.int64)) % field.p
     out = []
     for combo in itertools.product(field.elements(), repeat=l):
@@ -230,23 +265,25 @@ def kernel_oracle(field: FieldSpec, l: int, guard: int = 10_000_000) -> list[tup
     return out
 
 
-def iter_span(field: FieldSpec, basis: np.ndarray) -> Iterator[tuple[FqElem, ...]]:
+def iter_span(field: FieldSpec, basis) -> Iterator[tuple[FqElem, ...]]:
     """Every element of the span over ``field`` of the columns of a
-    solution-basis array, parameters in lexicographic order; only the
-    zero vector when the basis has no columns."""
+    solution basis, parameters in lexicographic order; only the zero
+    vector when the basis has no columns."""
+    basis = np.asarray(basis, dtype=np.int64)
     for combo in itertools.product(field.elements(), repeat=basis.shape[1]):
         yield span_element(field, basis, combo)
 
 
-def span_element(field: FieldSpec, basis: np.ndarray, params) -> tuple[FqElem, ...]:
+def span_element(field: FieldSpec, basis, params) -> tuple[FqElem, ...]:
     """sum(params[t] * column t of ``basis``) over ``field``."""
+    basis = np.asarray(basis, dtype=np.int64)
     arr = np.array(params, dtype=np.int64).reshape(basis.shape[1], field.m)
-    return _from_array(basis @ arr % field.p)
+    return from_array(basis @ arr % field.p)
 
 
 @functools.lru_cache(maxsize=2)
 def _direct(p: int, lam: int) -> np.ndarray:
-    return build_g_direct(p, lam)
+    return np.asarray(build_g_direct(p, lam))
 
 
 def solution_columns_oracle(p: int, l: int, delta: int) -> np.ndarray:
@@ -265,22 +302,45 @@ def solution_columns_oracle(p: int, l: int, delta: int) -> np.ndarray:
     return np.array(columns, dtype=np.int64).reshape(len(columns), l - delta).T
 
 
+@functools.lru_cache(maxsize=1)
+def _comb_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Exact C(i, j) for 0 <= i, j < n, from ``math.comb``."""
+    return tuple(tuple(math.comb(i, j) for j in range(n)) for i in range(n))
+
+
+def change_of_basis(p: int, n: int, direction: str, top: int = 729) -> np.ndarray:
+    """The n x n matrix of ``basis_convert`` on coefficient columns,
+    entry by entry from ``math.comb`` (n <= top): (x-1)^j =
+    sum_i C(j, i) (-1)^(j-i) x^i for 'xm1_to_std', x^j = sum_i C(j, i)
+    (x-1)^i for 'std_to_xm1'."""
+    sign = -1 if direction == XM1_TO_STD else 1
+    comb = _comb_rows(top)
+    mat = [[comb[j][i] * sign ** ((j - i) % 2) % p for j in range(n)] for i in range(n)]
+    return np.array(mat, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # gmatrix output as one string
 
 
-def _chunks(p: int, mat: np.ndarray, fmt: str) -> Iterator[str]:
+def pack_row(row) -> int:
+    """A row of residues in the 2-byte slots the gmatrix renderer reads."""
+    return int.from_bytes(np.asarray(row, dtype="<u2").tobytes(), "little")
+
+
+def _chunks(p: int, mat, fmt: str) -> Iterator[str]:
     """``mat``, residues mod p, through the gmatrix renderer, in blocks
     of the rows the row kernel yields at a time."""
+    mat = np.asarray(mat)
     step = MATRIX_BLOCK_ROWS
     rows, cols = mat.shape
-    blocks = (mat[start : start + step] for start in range(0, rows, step))
+    blocks = ([pack_row(row) for row in mat[start : start + step]] for start in range(0, rows, step))
     return cli._matrix_chunks(p, rows, cols, blocks, fmt)
 
 
-def matrix_text(p: int, mat: np.ndarray) -> str:
+def matrix_text(p: int, mat) -> str:
     return "".join(_chunks(p, mat, "text"))
 
 
-def matrix_json(p: int, mat: np.ndarray) -> str:
+def matrix_json(p: int, mat) -> str:
     return "".join(_chunks(p, mat, "json"))

@@ -69,7 +69,7 @@ def test_criterion_2_involution_and_ranks():
         for p in (3, 5, 7):
             lam = 1
             while p**lam <= 343:
-                g = build_g_kron(p, lam)
+                g = np.asarray(build_g_kron(p, lam))
                 assert np.array_equal(g @ g % p, np.eye(p**lam, dtype=np.int64)), (p, lam)
                 lam += 1
         for p in (3, 5):
@@ -119,7 +119,7 @@ def test_criterion_4_kernel_and_basis_equivalence():
                 field = find_irreducible(p, m)
                 for l in range(1, 13):
                     for delta in range(l):
-                        basis = solution_basis(field, l, delta)
+                        basis = np.asarray(solution_basis(field, l, delta), dtype=np.int64)
                         dim = (l + 1) // 2 - (delta + 1) // 2
                         assert basis.shape == (l - delta, dim)
                         if dim:
@@ -164,7 +164,7 @@ def test_criterion_6_golden_code_lists():
         got = {canonical_form(c.generators) for c in codes}
         assert got == {canonical_form(expect_u), canonical_form(expect_two)}
         # length 9, torsion-free family: reference basis columns and span
-        basis = solution_basis(field, 8, 4)
+        basis = np.asarray(solution_basis(field, 8, 4))
         assert basis.T.tolist() == [[2, 1, 0, 1], [0, 0, 2, 2]]
         desc = [d for d in classify_cases(3, 2) if d.k == 0][0]
         for a4, a6 in itertools.product(range(3), repeat=2):

@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sdcyclic
@@ -111,13 +110,13 @@ def _records(field):
     order."""
     desc = _k1_family()
     code = build_code(desc, ((2,),), field)
-    block = _block(desc, field, np.array([[[2]]]))
+    block = _block(desc, field, ((2,),))
     return [
         (desc, _DESC_FIELDS),
         (code, ("descriptor", "params", "b_coeffs", "generators")),
         (code.b_coeffs, ("field", "l", "coeffs")),
         (code.generators, ("field", "ring_sign", "generators")),
-        (_family_plan(desc, field), ("cols", "conv", "u", "second")),
+        (_family_plan(desc, field), ("cols", "conv", "widths", "u", "second")),
         (block, ("desc", "field", "ring_sign", "params", "b", "a", "u", "second")),
     ]
 
@@ -209,7 +208,7 @@ def test_importing_the_cli_runs_no_library_module():
         "import sdcyclic.cli\n"
         "print(json.dumps([ran, sorted(n for n in sys.modules if n.startswith('sdcyclic.'))]))\n"
     )
-    assert ran == ["__init__", "cli", "_numpy"]
+    assert ran == ["__init__", "cli"]
     assert {f"sdcyclic.{m}" for m in _LIBRARY} <= set(registered)
 
 

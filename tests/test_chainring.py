@@ -21,10 +21,10 @@ from sdcyclic import (
     span_dimension,
     to_negacyclic,
 )
-from sdcyclic.chainring import _reduction_rows
+from sdcyclic.fieldcore import _unpack, is_prime
 from sdcyclic.reciprocal import XM1_TO_STD
 
-from oracles import canonical_form, inner_product, orbit_rows, r_add, r_mul, r_neg, r_scale, rref
+from oracles import canonical_form, inner_product, orbit_rows, r_add, r_mul, r_neg, r_scale, reduction_rows, rref
 
 
 def _relem(field, a, b=0):
@@ -299,7 +299,7 @@ def _field_dot(field, x, y):
     for i in range(m):
         for j in range(m):
             conv[..., i + j] += prod[..., i, j]
-    return (conv % p) @ _reduction_rows(field) % p
+    return (conv % p) @ reduction_rows(field) % p
 
 
 def _dense_products(gens, against):
@@ -432,12 +432,63 @@ def test_span_dimension_scales_each_row_by_the_pivot_unit(f3):
 
 def test_t_adic_conversion_is_pascal_with_signs():
     for sign in (1, -1):
-        conv = chainring._to_t_adic(5, 25, sign)
+        width, rows = chainring._t_adic_rows(5, 25, sign)
         for j in range(25):
+            row = _unpack(rows[j], 25, width)
             for k in range(25):
                 # x^j = (t + sign)^j
                 want = math.comb(j, k) * sign ** (j - k) % 5 if k <= j else 0
-                assert conv[k, j] == want
+                assert row[k] == want
+
+
+def _convolve_oracle(field, x, y, length):
+    """The first ``length`` coefficients of x*y over F_{p^m}, for (n, m)
+    arrays of Python ints: one exact convolution per pair of
+    coordinates, then the y-degrees folded by the reduction rows."""
+    p, m = field.p, field.m
+    n = len(x) + len(y) - 1
+    # int64 while n*m*(p-1)^2 fits it, exact Python ints beyond
+    kind = np.int64 if n * m * (p - 1) ** 2 < 2**62 else object
+    x, y = x.astype(kind), y.astype(kind)
+    conv = np.zeros((max(n, length), 2 * m - 1), dtype=kind)
+    for i in range(m):
+        for j in range(m):
+            conv[:n, i + j] += np.convolve(x[:, i], y[:, j])
+    return ((conv[:length] % p).dot(reduction_rows(field).astype(kind)) % p).astype(object)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _width_boundaries(field, top):
+    """The lengths n <= top at which the product's slot width grows."""
+    return [n for n in range(2, top + 1) if chainring._width(field, n) != chainring._width(field, n - 1)]
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    # slot widths 1 -> 2 and 2 -> 4 bytes (p = 3, 101), 4 -> 8 (p near
+    # 2^31 / 10), and 8 bytes -> the byte-string path (p near 2^63 / 10)
+    [(3, 1), (3, 2), (101, 1), (101, 2), (_next_prime(14650), 1), (_next_prime(960_000_000), 1), (4294967311, 1)],
+)
+def test_packed_product_equals_convolve(p, m):
+    """``_poly_mul`` (one big-int product) against an exact convolution,
+    at random lengths and on both sides of every slot-width boundary up
+    to length 9000."""
+    field = find_irreducible(p, m) if m > 1 else FieldSpec(p, 1, [0, 1])
+    rng = random.Random(f"{p}:{m}")
+    edges = _width_boundaries(field, 9000)
+    lengths = {n + d for n in edges for d in (-1, 0, 1)} | {1, 2} | {rng.randint(1, 400) for _ in range(5)}
+    assert edges or p == 4294967311
+    for n in sorted(lengths):
+        x = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(n)], dtype=object)
+        y = np.array([[rng.randrange(p) for _ in range(m)] for _ in range(rng.choice((n, max(1, n // 2))))], dtype=object)
+        for length in {n, len(x) + len(y) - 1}:
+            got = chainring._poly_mul(field, tuple(map(tuple, x.T)), tuple(map(tuple, y.T)), length)
+            assert np.array_equal(np.array(got, dtype=object).T, _convolve_oracle(field, x, y, length)), (n, length)
 
 
 def test_chainring_is_independent_of_the_construction():
@@ -460,17 +511,18 @@ def test_span_dimension_refuses_lengths_that_are_not_powers_of_p(f3):
     assert is_self_orthogonal(gens)
 
 
-def test_verifier_refuses_int64_overflow():
-    p = 4294967311  # a prime above 2^32: (p-1)^2 alone exceeds 2^63
-    field = FieldSpec(p, 1, [0, 1])
-    gens = RIdealGens(field=field, ring_sign=1, generators=(_const_gen(field, 1, 1),))
-    for check in (span_dimension, is_self_orthogonal):
-        with pytest.raises(ValueError, match="int64"):
-            check(gens)
-    # just below the bound the arithmetic is still exact
-    below = FieldSpec(3037000493, 1, [0, 1])
-    gens = RIdealGens(field=below, ring_sign=1, generators=(_const_gen(below, 1, 1),))
-    assert span_dimension(gens) == 2 and not is_self_orthogonal(gens)
+def test_verifier_is_exact_beyond_int64():
+    """No verifier sum is held in int64, so a prime whose (p-1)^2 alone
+    exceeds 2^63 gets the exact answer too."""
+    for p in (3037000493, 4294967311):
+        field = FieldSpec(p, 1, [0, 1])
+        for ring_sign in (1, -1):
+            gens = RIdealGens(field=field, ring_sign=ring_sign, generators=(_const_gen(field, 1, 1),))
+            assert span_dimension(gens) == 2 and not is_self_orthogonal(gens)
+            assert chainring._self_dual_failure(gens, 0) == "not self-orthogonal: shift 0, generators (0, 0), main part"
+            # u alone: u^2 = 0, and 1 of 2 dimensions, so self-dual at N = 1
+            gens = RIdealGens(field=field, ring_sign=ring_sign, generators=(_const_gen(field, 1, 0, p - 1),))
+            assert span_dimension(gens) == 1 and is_self_dual(gens, 0)
 
 
 def test_canonical_form_refuses_int64_overflow():

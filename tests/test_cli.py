@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sdcyclic import (
+    RIdealGens,
     build_code,
     build_g_direct,
     build_g_kron,
@@ -28,7 +29,7 @@ from sdcyclic import (
     sample_codes,
     to_negacyclic,
 )
-from sdcyclic.binomial import _pascal_table
+from sdcyclic.binomial import _factorials
 from sdcyclic.cli import _fq_str, code_to_obj, dispatch, obj_to_code
 from sdcyclic.counting import _count_digits
 from sdcyclic.fieldcore import MAX_EXTENSION_DEGREE
@@ -488,7 +489,9 @@ def test_verify_window_checks_exactly_the_windowed_codes(capsys, monkeypatch, ne
     seen = []
 
     def record(gens, s):
-        seen.append(gens)
+        # the verifier's rows, as the generator tuples of a code object
+        rows = chainring._rows(gens)
+        seen.append(RIdealGens(gens.field, gens.ring_sign, tuple(tuple(zip(zip(*a), zip(*b))) for a, b in rows)))
         return True
 
     monkeypatch.setattr(chainring, "is_self_dual", record)
@@ -728,6 +731,7 @@ def _matrix_text_per_entry(p, mat):
 
 
 def _matrix_json(p, mat):
+    mat = np.asarray(mat)
     obj = {"p": p, "rows": mat.shape[0], "cols": mat.shape[1], "entries": mat.tolist()}
     return json.dumps(obj, separators=(",", ":"))
 
@@ -778,7 +782,7 @@ def test_gmatrix_l_equals_the_dense_truncation(capsys, p, lam):
     """`--l` at block edges (63, 64, 65), digit edges (p^(lambda-1) +- 1)
     and the full order, with each shift in text and json, against the
     per-entry formatter and the json of the dense matrix."""
-    n, g = p**lam, build_g_direct(p, lam)
+    n, g = p**lam, np.asarray(build_g_direct(p, lam))
     for l in sorted({1, 63, 64, 65, n // p - 1, n // p, n // p + 1, n - 1, n}):
         for flag, shift in (((), 0), (("--plus-i",), 1), (("--minus-i",), -1)):
             mat = (g[:l, :l] + shift * _eye(l)) % p
@@ -814,7 +818,7 @@ _GMATRIX_PEAKS = [
 
 @pytest.mark.parametrize("argv", _GMATRIX_PEAKS, ids=" ".join)
 def test_gmatrix_never_holds_more_than_a_few_blocks(tmp_path, argv):
-    for cache in (_pascal_table, gmatrix._g_full, g_truncated):
+    for cache in (_factorials, gmatrix._g_full, g_truncated):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -1032,32 +1036,68 @@ def test_importing_the_package_loads_every_module_but_not_numpy():
     )
     library, every, loaded = _in_a_child(script)
     names = ["binomial", "chainring", "counting", "enumerator", "fieldcore", "gmatrix", "reciprocal"]
-    assert library == sorted(["sdcyclic._numpy"] + [f"sdcyclic.{n}" for n in names])
+    assert library == sorted(f"sdcyclic.{n}" for n in names)
     assert every == sorted(library + ["sdcyclic.cli"]) and loaded == []
 
 
-def test_numpy_loads_on_first_use_once_across_threads():
-    """Threads that read ``np`` at the same time all wait for one import;
-    afterwards ``np`` is a plain module holding numpy's attributes."""
+# Every subcommand, in process, in an interpreter where importing numpy
+# fails: each prints what the same argv prints with numpy importable.
+_EVERY_COMMAND = [
+    ["gmatrix", "-p", "5", "--lambda", "2", "--minus-i"],
+    ["gmatrix", "-p", "7", "--l", "30", "--format", "json"],
+    ["gmatrix", "-p", "3", "--l", "40", "--delta", "13"],
+    ["count", "-p", "3", "-m", "1", "-s", "6", "--format", "csv"],
+    ["enumerate", "-p", "3", "-m", "2", "-s", "2", "--limit", "30", "--format", "json"],
+    ["enumerate", "-p", "5", "-m", "1", "-s", "2", "--sample", "5", "--seed", "3"],
+    ["build", "-p", "3", "-m", "1", "-s", "3", "--k", "2", "--params", "1,2,0,1,1"],
+    ["verify", "-p", "3", "-m", "1", "-s", "3", "--offset", "100", "--limit", "40"],
+    ["verify", "-p", "3", "-m", "2", "-s", "2", "--all", "--negacyclic"],
+    ["negacyclic", "-p", "3", "-m", "1", "-s", "3", "--limit", "20"],
+]
+
+
+def test_every_subcommand_runs_with_numpy_blocked(capsys):
     script = (
-        "import json, sys, threading, types\n"
-        "from sdcyclic._numpy import np\n"
-        "before = 'numpy' in sys.modules\n"
-        "barrier, errors = threading.Barrier(8), []\n"
-        "def work():\n"
-        "    barrier.wait()\n"
-        "    try:\n"
-        "        assert int(np.arange(5).sum()) == 10\n"
-        "    except Exception as exc:\n"
-        "        errors.append(repr(exc))\n"
-        "threads = [threading.Thread(target=work) for _ in range(8)]\n"
-        "for t in threads: t.start()\n"
-        "for t in threads: t.join(30)\n"
-        "alive = any(t.is_alive() for t in threads)\n"
-        "same = np.ndarray is sys.modules['numpy'].ndarray and type(np) is types.ModuleType\n"
-        "print(json.dumps([before, errors, alive, same]))\n"
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None  # any numpy import now raises\n"
+        "from sdcyclic.cli import dispatch\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        status = dispatch(argv)\n"
+        "    out.append([status, buf.getvalue()])\n"
+        "print(json.dumps(out))\n"
     )
-    assert _in_a_child(script) == [False, [], False, True]
+    got = _in_a_child(script, json.dumps(_EVERY_COMMAND))
+    assert {argv[0] for argv in _EVERY_COMMAND} == {"gmatrix", "count", "enumerate", "build", "verify", "negacyclic"}
+    for argv, (status, out) in zip(_EVERY_COMMAND, got):
+        assert [status, out] == list(run(capsys, *argv)[:2]), argv
+
+
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        (("enumerate", "-p", "3", "-m", "1", "-s", "4"), "line"),
+        (("gmatrix", "-p", "1021", "--lambda", "1"), 10),
+    ],
+)
+def test_a_closed_stdout_ends_quietly_with_the_sigpipe_status(argv, read):
+    """`... | head -1`: the reader goes away early.  That is no refusal:
+    nothing on stderr (no "Exception ignored" at shutdown either), and
+    exit status 141, the status a shell reports for SIGPIPE."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdcyclic.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        first = proc.stdout.readline() if read == "line" else proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""
+        assert first
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 # sha256 of `gmatrix -p 131 --l L --format F` as printed by the one-grid
@@ -1085,7 +1125,7 @@ def test_row_blocks_equal_the_one_grid_output(tmp_path, capsys, rows, fmt):
     status, printed, _ = run(capsys, "gmatrix", "-p", "131", "--l", str(rows), "--format", fmt, "--out", str(path))
     assert status == 0 and printed == "" and path.read_bytes() == out.encode()
     mat = g_truncated(131, rows)
-    blocks = (block for _, block in gmatrix._g_rows(131, 1, rows))
+    blocks = (block for _, block in gmatrix._g_rows(131, rows))
     pieces = list(cli._matrix_chunks(131, rows, rows, blocks, fmt))
     assert len(pieces) == -(-rows // 64) + (2 if fmt == "json" else 0)
     if fmt == "text":

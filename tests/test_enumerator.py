@@ -1,6 +1,7 @@
 import importlib
 import itertools
 
+import numpy as np
 import pytest
 
 from sdcyclic import (
@@ -282,7 +283,7 @@ LENGTH27_BASIS_TABLE = {
 def test_length27_basis_columns_match_reference_tables(f3, l, delta):
     basis = solution_basis(f3, l, delta)
     jmin = (delta + 1) // 2 + 1
-    got = {j: tuple(col) for j, col in enumerate(basis.T.tolist(), jmin)}
+    got = {j: tuple(col) for j, col in enumerate(np.asarray(basis).T.tolist(), jmin)}
     expected = dict(LENGTH27_BASIS_TABLE[(l, delta)])
     assert got == expected
 
@@ -346,7 +347,7 @@ SMALL_FIELDS = [(p, m) for p in (3, 5, 7, 11) for m in (1, 2, 3, 4) if p**m <= 1
 
 def _decoded(field, width, start, count):
     """The parameter tuples the block decoder gives for a window."""
-    return [tuple(map(tuple, row)) for row in _decode_block(field, width, start, count).tolist()]
+    return [tuple(zip(*[iter(row)] * field.m)) for row in _decode_block(field, width, start, count)]
 
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
@@ -398,7 +399,7 @@ def test_blocks_stay_within_the_cap():
 def test_blocks_start_small():
     # the first block holds one code, so the first line needs one product
     first = next(_stream_blocks(3, 1, 4, start=5))
-    assert first.params.shape == (1, classify_cases(3, 4)[0].free_param_count, 1)
+    assert [len(row) for row in first.params] == [classify_cases(3, 4)[0].free_param_count]
 
 
 def test_enumerate_rejects_negative_start():
@@ -507,12 +508,13 @@ def _assert_blocks_are_flipped_codes(p, m, s):
     for code, (desc, a, u, second, gens) in zip(cyclic, rows):
         image = to_negacyclic(code)
         assert desc == code.descriptor
-        assert gens == image and gens.ring_sign == -1
-        assert image.generators[0] == tuple(zip(map(tuple, a.tolist()), map(tuple, u.tolist())))
+        as_tuples = tuple(tuple(zip(zip(*main), zip(*upart))) for main, upart in gens.generators)
+        assert as_tuples == image.generators and gens.ring_sign == image.ring_sign == -1
+        assert image.generators[0] == tuple(zip(zip(*a), zip(*u)))
         if second is None:
             assert len(image.generators) == 1
         else:
-            assert image.generators[1] == tuple((tuple(c), field.zero()) for c in second.tolist())
+            assert image.generators[1] == tuple((c, field.zero()) for c in zip(*second))
 
 
 def test_negacyclic_blocks_are_flipped_codes():
@@ -573,8 +575,8 @@ def _array_caches():
         for attr, value in vars(module).items():
             if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
                 out[f"{name}.{attr}"] = value
-    arrays = {"binomial._pascal_table", "gmatrix._g_full", "gmatrix.g_truncated", "reciprocal._conv_matrix"}
-    assert arrays | {"chainring._reduction_rows"} <= set(out)
+    tables = {"binomial._factorials", "gmatrix._g_full", "gmatrix.g_truncated", "reciprocal._conv_rows"}
+    assert tables | {"chainring._t_adic_rows", "chainring._fold_weights"} <= set(out)
     return out
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from sdcyclic import (
     solution_column,
 )
 from sdcyclic.fieldcore import is_prime
-from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS, _g_rows
+from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS, _g_full, _g_rows
 
 from oracles import rref_rank, solution_columns_oracle
 
@@ -50,6 +53,12 @@ G8_PLUS_I_DISPLAY = [
 
 def _eye(n):
     return np.eye(n, dtype=np.int64)
+
+
+def _is_immutable_matrix(mat):
+    """A tuple of row tuples, so no caller can change a cached matrix or
+    basis in place."""
+    return type(mat) is tuple and all(type(row) is tuple for row in mat)
 
 
 def test_golden_g3():
@@ -91,7 +100,7 @@ def test_direct_equals_entry_formula(p, lam):
         for j in range(1, i + 1):
             expected[i - 1, j - 1] = g_entry(p, lam, i, j)
     g = build_g_direct(p, lam)
-    assert g.dtype == np.int64 and not g.flags.writeable
+    assert _is_immutable_matrix(g) and set(map(type, itertools.chain.from_iterable(g))) == {int}
     assert np.array_equal(g, expected)
 
 
@@ -109,14 +118,14 @@ def test_direct_equals_kron(p, lam):
 def test_involution(p, lam):
     if p**lam > 343:
         pytest.skip("beyond the cross-validation range")
-    g = build_g_kron(p, lam)
+    g = np.asarray(build_g_kron(p, lam))
     assert np.array_equal(g @ g % p, _eye(p**lam))
 
 
 @pytest.mark.parametrize("p,top", [(3, 27), (5, 25)])
 def test_truncated_involution(p, top):
     for l in range(1, top + 1):
-        g = g_truncated(p, l)
+        g = np.asarray(g_truncated(p, l))
         assert np.array_equal(g @ g % p, _eye(l))
 
 
@@ -130,7 +139,7 @@ def test_rank_laws(p):
 
 @pytest.mark.parametrize("p,l", [(3, 8), (3, 27), (5, 17)])
 def test_annihilation(p, l):
-    g = g_truncated(p, l)
+    g = np.asarray(g_truncated(p, l))
     assert not ((g - _eye(l)) @ (g + _eye(l)) % p).any()
 
 
@@ -140,17 +149,21 @@ def test_truncations():
     assert np.array_equal(g_truncated(3, 9), g9)
     assert np.array_equal((g_truncated(3, 8) + _eye(8)) % 3, G8_PLUS_I_DISPLAY)
     # truncation is independent of which covering power was used
-    assert np.array_equal(build_g_kron(3, 3)[:9, :9], g9)
-    assert np.array_equal(g_truncated(3, 10)[:9, :9], g9)
+    assert np.array_equal(np.asarray(build_g_kron(3, 3))[:9, :9], g9)
+    assert np.array_equal(np.asarray(g_truncated(3, 10))[:9, :9], g9)
     with pytest.raises(ValueError):
         g_truncated(3, 0)
 
 
 def test_g_truncated_shares_one_full_matrix_per_level():
+    # the whole level is the level's own rows; truncations are cached copies
+    full = g_truncated(3, 27)
+    assert all(row is whole for row, whole in zip(full, _g_full(3, 3)))
     g20, g25 = g_truncated(3, 20), g_truncated(3, 25)
-    assert np.shares_memory(g20, g25)
-    assert not g20.flags.writeable and not g25.flags.writeable
-    fresh = build_g_kron(3, 3)
+    assert g_truncated(3, 25) is g25
+    assert _is_immutable_matrix(g20) and _is_immutable_matrix(g25)
+    fresh = np.asarray(build_g_kron(3, 3))
+    assert np.array_equal(full, fresh)
     assert np.array_equal(g20, fresh[:20, :20])
     assert np.array_equal(g25, fresh[:25, :25])
 
@@ -191,10 +204,10 @@ def test_size_cap_guard_never_builds_the_power():
 
 
 def test_solution_column_reference_values():
-    assert solution_column(3, 8, 3, delta=4).tolist() == [2, 1, 0, 1]
-    assert solution_column(3, 8, 4, delta=4).tolist() == [0, 0, 2, 2]
+    assert solution_column(3, 8, 3, delta=4) == (2, 1, 0, 1)
+    assert solution_column(3, 8, 4, delta=4) == (0, 0, 2, 2)
     # untruncated first column: 2 followed by the first column of G below
-    assert solution_column(3, 8, 1).tolist() == [2, 2, 1, 2, 1, 2, 1, 2]
+    assert solution_column(3, 8, 1) == (2, 2, 1, 2, 1, 2, 1, 2)
 
 
 def test_solution_column_range_validation():
@@ -223,19 +236,20 @@ def test_solution_basis_equals_the_per_column_oracle(p, s):
         if desc.l == 0:
             continue
         basis = solution_basis(field, desc.l, desc.delta)
-        assert basis.dtype == np.int64
-        assert np.array_equal(basis, solution_columns_oracle(p, desc.l, desc.delta)), desc
-        assert basis.shape == (desc.l - desc.delta, desc.free_param_count)
+        assert _is_immutable_matrix(basis) and set(map(type, itertools.chain.from_iterable(basis))) <= {int}
+        oracle = solution_columns_oracle(p, desc.l, desc.delta)
+        assert basis == tuple(map(tuple, oracle.tolist())), desc
+        assert oracle.shape == (desc.l - desc.delta, desc.free_param_count)
         jmin, jmax = desc.j_range
         for j in {jmin, jmax} if jmin <= jmax else ():
-            assert np.array_equal(solution_column(p, desc.l, j, desc.delta), basis[:, j - jmin])
+            assert solution_column(p, desc.l, j, desc.delta) == tuple(oracle[:, j - jmin].tolist())
 
 
-def _refuses_writes(arr):
-    if arr.flags.writeable:
+def _refuses_writes(mat):
+    if not (type(mat) is tuple and all(type(row) in (tuple, int) for row in mat)):
         return False
-    with pytest.raises(ValueError, match="read-only"):
-        arr[(0,) * arr.ndim] = 1
+    with pytest.raises(TypeError):
+        mat[0] = 1
     return True
 
 
@@ -249,8 +263,8 @@ def test_every_matrix_and_basis_is_read_only(f3):
     for l, delta in ((8, 0), (8, 4), (9, 8), (650, 300), (1, 0)):
         assert _refuses_writes(solution_basis(f3, l, delta))
         assert _refuses_writes(solution_column(3, l, (delta + 1) // 2 + 1, delta))
-    # an empty basis has no entry to write, but is read-only all the same
-    assert not solution_basis(f3, 2, 1).flags.writeable
+    # an empty basis has no entry to write, but is immutable all the same
+    assert solution_basis(f3, 2, 1) == ((),)
 
 
 # -- the row kernel against the entry formula
@@ -264,34 +278,38 @@ KERNEL_RANGE = sorted(
 )
 
 
-def _kernel_rows(p, lam, size):
+def _kernel_rows(p, size):
     """The kernel's blocks stacked, after checking their shape: each
-    starts where the last one stopped, is a fresh writable int64 array of
-    at most MATRIX_BLOCK_ROWS rows and ``size`` columns, and keeps to the
-    rows of one top digit."""
-    parts, expect = [], 0
-    top = p ** max(lam - 1, 0)
-    for start, block in _g_rows(p, lam, size):
-        assert start == expect and 1 <= len(block) <= MATRIX_BLOCK_ROWS
-        assert block.shape[1] == size and block.dtype == np.int64 and block.flags.writeable
-        if lam >= 2:
-            assert start // top == (start + len(block) - 1) // top
-        parts.append(block.copy())
-        expect = start + len(block)
-    assert expect == size
-    return np.concatenate(parts)
+    starts where the last one stopped, and is a list of at most
+    MATRIX_BLOCK_ROWS rows, each packed in 2-byte slots within ``size``
+    columns."""
+    parts = []
+    for start, block in _g_rows(p, size):
+        assert start == len(parts) and 1 <= len(block) <= MATRIX_BLOCK_ROWS and type(block) is list
+        assert all(0 <= row < 1 << 16 * size for row in block)
+        parts += [np.frombuffer(row.to_bytes(2 * size, "little"), dtype="<u2") for row in block]
+    assert len(parts) == size
+    return np.array(parts, dtype=np.int64)
 
 
 @pytest.mark.parametrize("p,lam", KERNEL_RANGE)
 def test_row_kernel_equals_direct(p, lam):
     n = p**lam
-    direct = build_g_direct(p, lam)
-    assert np.array_equal(_kernel_rows(p, lam, n), direct)
+    direct = np.asarray(build_g_direct(p, lam))
+    assert np.array_equal(_kernel_rows(p, n), direct)
     assert np.array_equal(build_g_kron(p, lam), direct)
     # leading truncations, on and next to the block and digit edges
     for size in {1, 63, 64, 65, n // p - 1, n // p, n // p + 1, n - 1}:
         if 1 <= size < n:
-            assert np.array_equal(_kernel_rows(p, lam, size), direct[:size, :size]), size
+            assert np.array_equal(_kernel_rows(p, size), direct[:size, :size]), size
+
+
+@pytest.mark.parametrize("p,size", [(3, 243), (5, 125), (7, 343), (11, 121), (1021, 90)])
+def test_row_kernel_is_signed_pascal(p, size):
+    """G[i, j] = (-1)^i C(i, j) mod p at every level, straight from
+    math.comb."""
+    want = np.array([[(-1) ** i * math.comb(i, j) % p for j in range(size)] for i in range(size)], dtype=np.int64)
+    assert np.array_equal(_kernel_rows(p, size), want)
 
 
 def test_min_level_refuses_a_modulus_below_two():

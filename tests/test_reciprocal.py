@@ -11,11 +11,11 @@ from sdcyclic import (
     g_truncated,
     solution_basis,
 )
-from sdcyclic.binomial import _binom_grid, binom_mod_p
-from sdcyclic.gmatrix import min_level
+from sdcyclic.binomial import binom_mod_p
+from sdcyclic.gmatrix import _g_full
 from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD
 
-from oracles import is_solution, iter_span, kernel_oracle, reciprocal_oracle, reciprocal_transform
+from oracles import change_of_basis, is_solution, iter_span, kernel_oracle, reciprocal_oracle, reciprocal_transform
 
 
 def _poly(field, ints):
@@ -51,13 +51,39 @@ def test_basis_convert_rejects_unknown_direction(f3):
         basis_convert(f3, ((1,),), "sideways")
 
 
+def test_basis_convert_refuses_unreduced_coefficients(f3):
+    # a packed slot holds only sums of residues, so nothing else gets in
+    for coeffs in (((5,),), ((1,), (1, 2)), ((-1,),)):
+        with pytest.raises(ValueError, match="is not a reduced F_3\\^1 tuple"):
+            basis_convert(f3, coeffs, XM1_TO_STD)
+
+
 def test_pascal_cache_matches_lucas():
-    i = np.arange(30)
-    for p in (3, 5):
-        table = _binom_grid(p, i[:, None], i[None, :], min_level(p, 30))
-        for n in range(30):
-            for k in range(30):
-                assert table[n][k] == (binom_mod_p(n, k, p) if k <= n else 0)
+    """The cached rows of each level, which the truncations and the
+    solution bases read, are signed Pascal rows: (-1)^i C(i, j) mod p by
+    Lucas's theorem."""
+    for p, lam in ((3, 3), (5, 2)):
+        n = p**lam
+        for i, row in enumerate(_g_full(p, lam)):
+            assert row == tuple((-1) ** i * binom_mod_p(i, j, p) % p for j in range(n))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("direction", [XM1_TO_STD, STD_TO_XM1])
+def test_packed_change_of_basis_equals_the_dense_comb_matrix(p, direction):
+    """basis_convert, a sum of packed rows, against the dense matrix of
+    math.comb values, at random lengths up to 729 (every slot width the
+    rows take at these primes) and at the lengths p^s, p^s +- 1."""
+    rng = random.Random(f"{p}:{direction}")
+    lengths = {1, 2, 729} | {p**s + d for s in range(1, 4) for d in (-1, 0, 1) if p**s + d <= 729}
+    lengths |= {rng.randint(1, 729) for _ in range(4)}
+    for n in sorted(lengths):
+        dense = change_of_basis(p, n, direction)
+        for m in (1, 2):
+            field = find_irreducible(p, m)
+            coeffs = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(n))
+            want = dense @ np.array(coeffs, dtype=np.int64) % p
+            assert basis_convert(field, coeffs, direction) == tuple(map(tuple, want.tolist())), (n, m)
 
 
 # -- the transform and its oracle --------------------------------------------
@@ -117,12 +143,12 @@ def test_transform_equals_oracle_random_long():
 # -- solution bases and oracles ----------------------------------------------
 
 def test_solution_basis_dimensions(f3):
-    assert solution_basis(f3, 3, 0).shape == (3, 2)
-    b84 = solution_basis(f3, 8, 4)
+    assert np.asarray(solution_basis(f3, 3, 0)).shape == (3, 2)
+    b84 = np.asarray(solution_basis(f3, 8, 4))
     assert b84.shape == (4, 2)
     assert b84.T.tolist() == [[2, 1, 0, 1], [0, 0, 2, 2]]
     empty = solution_basis(f3, 2, 1)
-    assert empty.shape == (1, 0)
+    assert np.asarray(empty).shape == (1, 0)
     assert list(iter_span(f3, empty)) == [((0,),)]
 
 
