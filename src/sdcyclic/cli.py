@@ -208,8 +208,8 @@ def _matrix_chunks(p: int, rows: int, cols: int, blocks: Iterable[Sequence[int]]
 # ---------------------------------------------------------------------------
 # JSON import/export
 
-def poly_to_obj(coeffs: Sequence[FqElem], basis: str = "std") -> dict:
-    return {"basis": basis, "coeffs": [list(c) for c in coeffs]}
+def poly_to_obj(coeffs: Sequence[FqElem]) -> dict:
+    return {"basis": "std", "coeffs": [list(c) for c in coeffs]}
 
 
 def code_to_obj(code: CodeSpec, gens: RIdealGens | None = None) -> dict:
@@ -486,9 +486,12 @@ def _cmd_verify(args) -> int:
     if args.all and (args.offset or args.limit is not None):
         raise ValueError("--all cannot be combined with --offset/--limit")
     ring_sign, ring = (-1, "negacyclic") if args.negacyclic else (1, "cyclic")
+    blocks = _window_blocks(args, ring_sign)  # refuses a negative bound by name first
+    if not args.all and args.limit is None:
+        raise ValueError("verify needs --limit N, or --all for the complete family")
     rows = (
         (block.desc, params, gens)
-        for block in _window_blocks(args, ring_sign)
+        for block in blocks
         for params, gens in zip(block.params, _generators(block))
     )
     good = total = 0
@@ -507,12 +510,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(sub, *, m: bool = True, s: bool = True) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("-p", type=int, required=True, help="odd prime characteristic")
-    if m:
-        sub.add_argument("-m", type=int, required=True, help="extension degree of the field")
-    if s:
-        sub.add_argument("-s", type=int, required=True, help="length exponent: codes have length p^s")
+    sub.add_argument("-m", type=int, required=True, help="extension degree of the field")
+    sub.add_argument("-s", type=int, required=True, help="length exponent: codes have length p^s")
 
 
 def _add_window(sub) -> None:

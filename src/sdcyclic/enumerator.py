@@ -236,22 +236,20 @@ def _decode_block(field: FieldSpec, width: int, start: int, count: int) -> tuple
     as flat tuples in lexicographic order: each index written in base
     q = p^m with ``width`` digits, each digit d the d-th element of
     ``field.elements()``.  Together these are the index's width*m base-p
-    digits, most significant first.
-
-    Exact for any ``start``: the lowest L digits, p^L >= count, run
-    through every value in order from ``start mod p^L``, and the higher
-    ones, which at most one carry reaches, come from ``start // p^L`` and
-    that plus one."""
-    p, m = field.p, field.m
-    total = width * m
-    low, radix = 0, 1
-    while low < total and radix < count:
-        low, radix = low + 1, radix * p
-    high, rest = divmod(start, radix)
-    heads = [tuple(_base_p_digits(high + c, p, total - low)) for c in (0, 1)]
-    lows = itertools.product(range(p), repeat=low)
-    lows = itertools.chain(itertools.islice(lows, rest, None), itertools.product(range(p), repeat=low))
-    return tuple(heads[rest + i >= radix] + digits for i, digits in zip(range(count), lows))
+    digits, most significant first: ``start`` is written in base p once,
+    then counted up by one per code."""
+    top = field.p - 1
+    digits = _base_p_digits(start, field.p, width * field.m)
+    out = []
+    for _ in range(count):
+        out.append(tuple(digits))
+        i = len(digits) - 1
+        while i >= 0 and digits[i] == top:
+            digits[i] = 0
+            i -= 1
+        if i >= 0:
+            digits[i] += 1
+    return tuple(out)
 
 
 def _block_cap(n: int, m: int) -> int:

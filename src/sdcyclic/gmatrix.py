@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from .binomial import _lucas
 from .counting import column_index_range
 from .fieldcore import _unpack, is_prime
 
@@ -56,6 +55,8 @@ def build_g_direct(p: int, lam: int) -> tuple[tuple[int, ...], ...]:
     """Order-p^lam reciprocal matrix straight from the entry formula of
     ``binomial.g_entry``, one Lucas product per entry on or below the
     diagonal; the entries above it are 0."""
+    from .binomial import _lucas
+
     n = _checked_order(p, lam)
     rows = []
     for i in range(n):  # 0-based: (-1)^j C(n - 1 - j, i - j)
@@ -120,23 +121,12 @@ def _g_rows(p: int, size: int, shift: int = 0):
             block = []
 
 
-def _unpacked(p: int, rows, size: int) -> tuple[tuple[int, ...], ...]:
-    """The first ``size`` entries of packed kernel rows, as row tuples.
-    Every entry is the one int object of its residue, so a matrix holds
-    pointers, not ints: below 257 every residue is a cached small int
-    already, above it entries are read through a table of the p ints."""
-    if p <= 257:
-        return tuple(tuple(_unpack(row, size, ROW_SLOT_BYTES)) for row in rows)
-    residues = tuple(range(p))
-    return tuple(tuple(map(residues.__getitem__, _unpack(row, size, ROW_SLOT_BYTES))) for row in rows)
-
-
 def build_g_kron(p: int, lam: int) -> tuple[tuple[int, ...], ...]:
     """Order-p^lam reciprocal matrix as the Kronecker power of the
     order-p one, G_(p^lam) = G_p (x) G_(p^(lam-1)); equals
     :func:`build_g_direct` entrywise."""
     n = _checked_order(p, lam)
-    g_p = _g_full(p, 1) if lam else ()
+    g_p = g_truncated(p, p) if lam else ()
     out: tuple[tuple[int, ...], ...] = ((1,),)
     while len(out) < n:
         # every multiple c * row of the inner matrix, c < p, once
@@ -160,24 +150,22 @@ def min_level(p: int, l: int) -> int:
     return lam
 
 
-# Every level one length under the size cap uses (3^6 <= 2048 < 3^7), so
-# a stream never builds a level twice.
-@lru_cache(maxsize=6)
-def _g_full(p: int, lam: int) -> tuple[tuple[int, ...], ...]:
-    """The full order-p^lam matrix from the row kernel, built once per
-    level."""
-    n = _checked_order(p, lam)
-    return _unpacked(p, chain.from_iterable(block for _, block in _g_rows(p, n)), n)
-
-
-# Each entry holds l^2 pointers (33 MB at l = 2038), or shares the rows
-# of ``_g_full`` at l = p^lam.
+# Each entry holds l^2 pointers, 33 MB at l = 2038.
 @lru_cache(maxsize=2)
 def g_truncated(p: int, l: int) -> tuple[tuple[int, ...], ...]:
     """G_l: the l x l truncation of the minimal covering reciprocal matrix
-    (lam recomputed as the least level with l <= p^lam), sliced from the
-    full matrix of its level.  Cached."""
-    return tuple(row[:l] for row in _g_full(p, min_level(p, l))[:l])
+    (lam recomputed as the least level with l <= p^lam), which is the
+    leading l x l block of every level, read from the row kernel.  Every
+    entry is the one int object of its residue, so the matrix holds
+    pointers, not ints: below 257 every residue is a cached small int
+    already, above it entries are read through a table of the p ints.
+    Cached."""
+    _checked_order(p, min_level(p, l))
+    rows = (_unpack(row, l, ROW_SLOT_BYTES) for _, block in _g_rows(p, l) for row in block)
+    if p > 257:
+        residues = tuple(range(p))
+        rows = (map(residues.__getitem__, row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def _solution_basis(p: int, l: int, delta: int) -> tuple[tuple[int, ...], ...]:

@@ -43,13 +43,8 @@ def _choice(rng: random.Random, common, rare=(), rare_odds: float = 0.15) -> str
     return rng.choice(rare if rare and rng.random() < rare_odds else common)
 
 
-def _pms(rng: random.Random, m: bool = True, s: bool = True) -> list[str]:
-    out = ["-p", _choice(rng, PRIMES, NOT_PRIMES)]
-    if m:
-        out += ["-m", rng.choice(M_VALUES)]
-    if s:
-        out += ["-s", rng.choice(S_VALUES)]
-    return out
+def _pms(rng: random.Random) -> list[str]:
+    return ["-p", _choice(rng, PRIMES, NOT_PRIMES), "-m", rng.choice(M_VALUES), "-s", rng.choice(S_VALUES)]
 
 
 def _format(rng: random.Random) -> list[str]:

@@ -253,7 +253,31 @@ def test_count_runs_neither_the_construction_nor_the_verifier():
 def test_gmatrix_runs_neither_the_construction_nor_the_verifier(argv):
     [[status, ran]] = _ran_per_command([argv])
     assert status == 0
-    assert sorted(ran) == ["binomial", "counting", "fieldcore", "gmatrix"]
+    assert sorted(ran) == ["counting", "fieldcore", "gmatrix"]
+
+
+def test_no_subcommand_runs_binomial_and_the_direct_route_does():
+    """``binomial`` serves only the entry-formula reference route: every
+    subcommand, run in turn in one child, leaves it unrun, and
+    ``build_g_direct`` runs it."""
+    argvs = [
+        ["gmatrix", "-p", "5", "--lambda", "2", "--minus-i"],
+        ["gmatrix", "-p", "7", "--l", "30", "--format", "json"],
+        ["gmatrix", "-p", "3", "--l", "40", "--delta", "13"],
+        ["count", "-p", "3", "-m", "1", "-s", "6", "--format", "csv"],
+        ["enumerate", "-p", "3", "-m", "2", "-s", "2", "--limit", "30", "--format", "json"],
+        ["enumerate", "-p", "5", "-m", "1", "-s", "2", "--sample", "5", "--seed", "3"],
+        ["build", "-p", "3", "-m", "1", "-s", "3", "--k", "2", "--params", "1,2,0,1,1"],
+        ["verify", "-p", "3", "-m", "1", "-s", "3", "--offset", "100", "--limit", "40"],
+        ["verify", "-p", "3", "-m", "2", "-s", "2", "--all", "--negacyclic"],
+        ["negacyclic", "-p", "3", "-m", "1", "-s", "3", "--limit", "20"],
+    ]
+    runs = _ran_per_command(argvs)
+    assert [status for status, _ in runs] == [0] * len(argvs)
+    assert "binomial" not in {name for _, ran in runs for name in ran}
+    assert {argv[0] for argv in argvs} == {"gmatrix", "count", "enumerate", "build", "verify", "negacyclic"}
+    ran = _child("import json, sdcyclic\nsdcyclic.build_g_direct(3, 2)\nprint(json.dumps(ran))\n")
+    assert "binomial" in ran
 
 
 def test_first_reads_of_a_module_from_many_threads_all_see_it_whole():

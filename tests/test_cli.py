@@ -290,6 +290,15 @@ def test_verify_all(capsys):
     assert out == "17/17 self-dual\n"
 
 
+@pytest.mark.parametrize("window", [(), ("--offset", "5")])
+def test_verify_refuses_an_unbounded_window(capsys, window):
+    """Without --limit or --all a window runs to the end of the family:
+    refused at once, naming both flags."""
+    status, out, err = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "2", *window)
+    assert status == 2 and out == ""
+    assert err == "error: verify needs --limit N, or --all for the complete family\n"
+
+
 def test_verify_window_and_negacyclic(capsys):
     status, out, _ = run(capsys, "verify", "-p", "3", "-m", "1", "-s", "2", "--limit", "5")
     assert status == 0 and out == "5/5 self-dual\n"
@@ -323,7 +332,7 @@ def test_out_file(tmp_path, capsys):
         ("gmatrix", "-p", "3", "--l", "5", "--delta", "7", "--format", "json"),
         ("gmatrix", "-p", "3", "--l", "3000", "--delta", "1"),
         ("gmatrix", "-p", "3", "--l", "3000"),
-        ("verify", "-p", "3", "-m", "1", "-s", "7"),
+        ("verify", "-p", "3", "-m", "1", "-s", "7", "--all"),
         ("enumerate", "-p", "3", "-m", "1", "-s", "7"),
         ("build", "-p", "3", "-m", "1", "-s", "2", "--k", "0", "--params", "5,1"),
         ("count", "-p", "9", "-m", "1", "-s", "1"),
@@ -818,7 +827,7 @@ _GMATRIX_PEAKS = [
 
 @pytest.mark.parametrize("argv", _GMATRIX_PEAKS, ids=" ".join)
 def test_gmatrix_never_holds_more_than_a_few_blocks(tmp_path, argv):
-    for cache in (_factorials, gmatrix._g_full, g_truncated):
+    for cache in (_factorials, g_truncated):
         cache.cache_clear()
     tracemalloc.start()
     try:

@@ -16,9 +16,7 @@ from sdcyclic import (
     descriptor_count,
     enumerate_codes,
     find_irreducible,
-    g_truncated,
     is_self_dual,
-    min_level,
     sample_codes,
     solution_basis,
     to_negacyclic,
@@ -33,7 +31,6 @@ from sdcyclic.enumerator import (
     _generators,
     _stream_blocks,
 )
-from sdcyclic.gmatrix import _g_full
 from sdcyclic.reciprocal import XM1_TO_STD
 
 from oracles import canonical_form, span_element
@@ -575,7 +572,7 @@ def _array_caches():
         for attr, value in vars(module).items():
             if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
                 out[f"{name}.{attr}"] = value
-    tables = {"binomial._factorials", "gmatrix._g_full", "gmatrix.g_truncated", "reciprocal._conv_rows"}
+    tables = {"binomial._factorials", "gmatrix.g_truncated", "reciprocal._conv_rows"}
     assert tables | {"chainring._t_adic_rows", "chainring._fold_weights"} <= set(out)
     return out
 
@@ -591,16 +588,3 @@ def test_every_cache_is_bounded_after_a_sweep_of_lengths():
     for name, fn in caches.items():
         info = fn.cache_info()
         assert info.currsize <= info.maxsize, name
-
-
-def test_a_stream_builds_each_level_once():
-    """A stream visits every family, each with its own l; the full
-    matrix of each level is built once however many truncations read it."""
-    _g_full.cache_clear()
-    g_truncated.cache_clear()
-    for p, s in [(3, 6), (5, 4), (7, 3)]:
-        before = _g_full.cache_info().misses
-        ls = [d.l for d in classify_cases(p, s) if d.l > 0]
-        for l in ls:
-            g_truncated(p, l)
-        assert _g_full.cache_info().misses - before == len({min_level(p, l) for l in ls}) == s

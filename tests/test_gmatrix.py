@@ -16,7 +16,7 @@ from sdcyclic import (
     solution_column,
 )
 from sdcyclic.fieldcore import is_prime
-from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS, _g_full, _g_rows
+from sdcyclic.gmatrix import MATRIX_BLOCK_ROWS, _g_rows
 
 from oracles import rref_rank, solution_columns_oracle
 
@@ -155,17 +155,26 @@ def test_truncations():
         g_truncated(3, 0)
 
 
-def test_g_truncated_shares_one_full_matrix_per_level():
-    # the whole level is the level's own rows; truncations are cached copies
-    full = g_truncated(3, 27)
-    assert all(row is whole for row, whole in zip(full, _g_full(3, 3)))
+def test_g_truncated_is_cached_and_read_only():
     g20, g25 = g_truncated(3, 20), g_truncated(3, 25)
     assert g_truncated(3, 25) is g25
     assert _is_immutable_matrix(g20) and _is_immutable_matrix(g25)
     fresh = np.asarray(build_g_kron(3, 3))
-    assert np.array_equal(full, fresh)
+    assert np.array_equal(g_truncated(3, 27), fresh)
     assert np.array_equal(g20, fresh[:20, :20])
     assert np.array_equal(g25, fresh[:25, :25])
+
+
+@pytest.mark.parametrize(
+    "p,l", [(p, p**k + d) for p, top in ((3, 4), (5, 3), (7, 2)) for k in range(1, top) for d in (-1, 0, 1)]
+)
+def test_g_truncated_is_the_leading_block_of_the_kronecker_power(p, l):
+    """On and next to each level edge, G_l is the leading block of the
+    level that covers it and of the level above."""
+    lam = min_level(p, l)
+    for level in (lam, lam + 1):
+        kron = np.asarray(build_g_kron(p, level))
+        assert np.array_equal(g_truncated(p, l), kron[:l, :l]), level
 
 
 def test_min_level():

@@ -12,7 +12,6 @@ from sdcyclic import (
     solution_basis,
 )
 from sdcyclic.binomial import binom_mod_p
-from sdcyclic.gmatrix import _g_full
 from sdcyclic.reciprocal import STD_TO_XM1, XM1_TO_STD
 
 from oracles import change_of_basis, is_solution, iter_span, kernel_oracle, reciprocal_oracle, reciprocal_transform
@@ -59,12 +58,11 @@ def test_basis_convert_refuses_unreduced_coefficients(f3):
 
 
 def test_pascal_cache_matches_lucas():
-    """The cached rows of each level, which the truncations and the
-    solution bases read, are signed Pascal rows: (-1)^i C(i, j) mod p by
-    Lucas's theorem."""
+    """The rows of each level, which the solution bases read, are signed
+    Pascal rows: (-1)^i C(i, j) mod p by Lucas's theorem."""
     for p, lam in ((3, 3), (5, 2)):
         n = p**lam
-        for i, row in enumerate(_g_full(p, lam)):
+        for i, row in enumerate(g_truncated(p, n)):
             assert row == tuple((-1) ** i * binom_mod_p(i, j, p) % p for j in range(n))
 
 
