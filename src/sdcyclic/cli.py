@@ -92,24 +92,69 @@ def _poly_text(poly: Coords, p: int) -> str:
     """A polynomial given by the coordinates of its standard coefficients,
     as text: nonzero terms low degree first, joined by '+'; a coefficient
     is its colon-joined field coefficients, in parentheses when m > 1,
-    and is left out when it is 1 in front of a power of x; '0' for zero."""
-    m = len(poly)
-    xs = _x_powers(len(poly[0]))
-    if m > 1 and p**m > COEFF_TABLE_MAX:
+    and is left out when it is 1 in front of a power of x; '0' for zero.
+    Up to q = 256 elements, each coefficient's position in the field's
+    element order is one byte, all of them from one packed multiply-add
+    over the coordinates."""
+    m, n = len(poly), len(poly[0])
+    q = p**m
+    xs = _x_powers(n)
+    if q > COEFF_TABLE_MAX:
         terms = [f"({_fq_str(c)}){xs[d]}" for d, c in enumerate(zip(*poly)) if any(c)]
         return "+".join(terms) or "0"
-    # each coefficient's position in the field's element order
-    index = poly[0]
-    for coord in poly[1:]:
-        index = [i * p + c for i, c in zip(index, coord)]
-    degrees = list(itertools.compress(range(len(index)), index))
-    if not degrees:
-        return "0"
-    values = list(filter(None, index))
-    terms = list(map(operator.add, map(_coeff_texts(p, m).__getitem__, values), map(xs.__getitem__, degrees)))
-    if m == 1 and degrees[0] == 0:
-        terms[0] = str(values[0])
-    return "+".join(terms)
+    if m == 1:
+        index = poly[0]
+    elif q <= 256:
+        packed = 0
+        for coord in poly:
+            packed = packed * p + int.from_bytes(coord, "little")
+        index = packed.to_bytes(n, "little")
+    else:
+        index = poly[0]
+        for coord in poly[1:]:
+            index = [i * p + c for i, c in zip(index, coord)]
+    coeffs = map(_coeff_texts(p, m).__getitem__, filter(None, index))
+    terms = "+".join(map(operator.add, coeffs, itertools.compress(xs, index)))
+    if m == 1 and index[0] == 1:
+        # a constant term 1 is printed; its table entry '' is for x^d
+        return "1" + terms
+    return terms or "0"
+
+
+# Json lines of fields with one-digit residues are filled in as bytes: each
+# residue as its byte value, then every byte below 10 to its digit.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _json_grid(n: int, m: int) -> bytes:
+    """The compact json of n field elements, each a list of m zero bytes:
+    coordinate t of element d sits at 2 + 2t + d(2m + 2)."""
+    if not n:
+        return b"[]"
+    return b"[" + b",".join([b"[" + b",".join([b"\0"] * m) + b"]"] * n) + b"]"
+
+
+def _json_row_filler(head: str, n_params: int, mid: str, n: int, tail: str, m: int):
+    """``render(index, params, a)`` of ``_row_renderer`` for json and
+    residues of one digit: the line ``head`` params ``mid`` a ``tail``
+    from one byte template per family, each coordinate put in by one
+    slice assignment, then one translation to text."""
+    step = 2 * m + 2
+    head, params, mid = head.encode(), _json_grid(n_params, m), mid.encode()
+    template = head + params + mid + _json_grid(n, m) + tail.encode()
+    params_at = len(head) + 2
+    a_at = len(head) + len(params) + len(mid) + 2
+
+    def render(index: int, params: Sequence[int], a: Coords) -> str:
+        line = bytearray(template)
+        for t in range(m):
+            at = params_at + 2 * t
+            line[at : at + step * n_params : step] = params[t::m]
+            at = a_at + 2 * t
+            line[at : at + step * n : step] = a[t]
+        return line.translate(_DIGITS).decode("ascii")
+
+    return render
 
 
 def _row_renderer(block: _Block, fmt: str):
@@ -122,15 +167,16 @@ def _row_renderer(block: _Block, fmt: str):
     d = block.desc
     m = block.field.m
     if fmt == "json":
-        head = _json_dumps({"p": d.p, "m": m, "s": d.s, "case": d.sub, "nu": d.nu, "k": d.k})
-        head = head[:-1] + ',"params":'
-        mid = ',"generators":[{"a":{"basis":"std","coeffs":'
-        gens = [',"b":' + _json_dumps(poly_to_obj(list(zip(*block.u)))) + "}"]
+        std = '{"basis":"std","coeffs":'
+        head = f'{{"p":{d.p},"m":{m},"s":{d.s},"case":"{d.sub}","nu":{d.nu},"k":{d.k},"params":'
+        mid = ',"generators":[{"a":' + std
+        tail = '},"b":' + std + _poly_json(block.u) + "}}"
         if block.second is not None:
-            zero = [(0,) * m] * len(block.second[0])
-            second = {"a": poly_to_obj(list(zip(*block.second))), "b": poly_to_obj(zero)}
-            gens.append("," + _json_dumps(second))
-        tail = "}" + "".join(gens) + f'],"ring_sign":{block.ring_sign}}}\n'
+            zero = (bytes(len(block.second[0])),) * m
+            tail += ',{"a":' + std + _poly_json(block.second) + '},"b":' + std + _poly_json(zero) + "}}"
+        tail += f'],"ring_sign":{block.ring_sign}}}\n'
+        if d.p < 10:
+            return _json_row_filler(head, d.free_param_count, mid, len(block.u[0]), tail, m)
 
         def render(index: int, params: Sequence[int], a: Coords) -> str:
             return head + _poly_json(tuple(params[t::m] for t in range(m))) + mid + _poly_json(a) + tail
@@ -431,12 +477,13 @@ def _check_non_negative(args, *names: str) -> None:
 
 
 def _window_blocks(args, ring_sign: int) -> Iterator[_Block]:
-    """The code blocks of the enumeration in the ring x^N - ring_sign
-    from --offset on; the caller cuts them at --limit codes."""
+    """The code blocks of the --offset/--limit window of the enumeration,
+    in the ring x^N - ring_sign."""
     from .enumerator import _stream_blocks
 
     _check_non_negative(args, "offset", "limit")
-    return _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign)
+    stop = None if args.limit is None else args.offset + args.limit
+    return _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign, stop=stop)
 
 
 def _emit_window(args, ring_sign: int) -> int:

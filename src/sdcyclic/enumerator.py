@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from operator import mul
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .chainring import RIdealGens, _Rows
 from .counting import (  # noqa: F401  (re-exported)
     CaseDescriptor,
     _validate_ps,
@@ -33,14 +33,21 @@ from .counting import (  # noqa: F401  (re-exported)
     count_self_dual,
     descriptor_count,
 )
-from .fieldcore import FieldSpec, FqElem, _pack, _residues, _slot_bytes, find_irreducible
+from .fieldcore import FieldSpec, FqElem, _byte_tables, _pack, _residue_bytes, _slot_bytes, find_irreducible
 from .gmatrix import _checked_order
-from .reciprocal import XPoly, _combine, _conv_rows, solution_basis
+from .reciprocal import XPoly, _conv_rows, solution_basis
 
-# A polynomial over F_{p^m} of a block is a tuple of m coordinate tuples,
-# the residues of each coordinate low degree first; parameters are flat
-# tuples, parameter j's coordinate t at position j*m + t.
-Coords = tuple[tuple[int, ...], ...]
+# The verifier is imported by the functions that hand codes to it, so
+# that the stream commands never run it.
+if TYPE_CHECKING:
+    from .chainring import RIdealGens, _Rows
+
+# A polynomial over F_{p^m} of a block is a tuple of m coordinates, the
+# residues of each coordinate low degree first: a ``bytes`` for p < 256,
+# else a tuple (``fieldcore._residue_bytes``); the verifier gets them as
+# tuples (``_generators``).  Parameters are flat tuples, parameter j's
+# coordinate t at position j*m + t.
+Coords = tuple[Sequence[int], ...]
 
 
 def _code_families(p: int, s: int) -> list[CaseDescriptor]:
@@ -95,8 +102,10 @@ class _FamilyPlan(NamedTuple):
 
 
 def _scalar(m: int, values: Sequence[int]) -> Coords:
-    """The polynomial with F_p coefficients ``values``, as coordinates."""
-    return (tuple(values),) + ((0,) * len(values),) * (m - 1)
+    """The polynomial with F_p coefficients ``values``, as coordinates of
+    the type of ``values``."""
+    zero = bytes(len(values)) if isinstance(values, bytes) else (0,) * len(values)
+    return (values,) + (zero,) * (m - 1)
 
 
 # Small, so memory stays flat over long sweeps; the enumeration stream
@@ -111,7 +120,7 @@ def _family_plan(desc: CaseDescriptor, field: FieldSpec) -> _FamilyPlan:
     conv_width, rows = _conv_rows(p, n, -1)
 
     def power(e: int) -> Coords:
-        return _scalar(m, _residues(rows[e], n, conv_width, p))
+        return _scalar(m, _residue_bytes(rows[e], n, conv_width, p))
 
     second = power(n - k) if k > 0 else None
     return _FamilyPlan(cols, rows[k + 1 + delta : k + 1 + l], (col_width, conv_width), power(k), second)
@@ -128,8 +137,6 @@ class _Block(NamedTuple):
     ``field``, in the ring x^N - ring_sign.
 
     params: one flat parameter tuple per code.
-    b: per code, the (x-1)-adic coefficients of b from delta on (those
-        below delta are 0), as in the cyclic code.
     a: per code, the main part of the first generator, standard
         coordinates.
     u / second: the family's parameter-free parts in the same ring: the
@@ -141,7 +148,6 @@ class _Block(NamedTuple):
     field: FieldSpec
     ring_sign: int
     params: tuple[tuple[int, ...], ...]
-    b: tuple[Coords, ...]
     a: tuple[Coords, ...]
     u: Coords
     second: Coords | None
@@ -149,13 +155,27 @@ class _Block(NamedTuple):
 
 def _negate_odd_degrees(poly: Coords, p: int) -> Coords:
     """The image of x -> -x on standard coefficients: every coordinate's
-    odd-degree entries negated mod p."""
+    odd-degree entries negated mod p, those of a ``bytes`` by one
+    translation."""
     out = []
     for coord in poly:
-        flipped = list(coord)
-        flipped[1::2] = [(p - v) % p for v in coord[1::2]]
-        out.append(tuple(flipped))
+        if isinstance(coord, bytes):
+            flipped = bytearray(coord)
+            flipped[1::2] = coord[1::2].translate(_byte_tables(p)[2])
+            out.append(bytes(flipped))
+        else:
+            flipped = list(coord)
+            flipped[1::2] = [(p - v) % p for v in coord[1::2]]
+            out.append(tuple(flipped))
     return tuple(out)
+
+
+def _b_coords(plan: _FamilyPlan, desc: CaseDescriptor, field: FieldSpec, flat: tuple[int, ...]) -> Coords:
+    """The (x-1)-adic coefficients of b from delta on, per field
+    coordinate: ``cols . params`` mod p, one sum of packed columns."""
+    p, m = field.p, field.m
+    size, width = desc.l - desc.delta, plan.widths[0]
+    return tuple(_residue_bytes(sum(map(mul, flat[t::m], plan.cols)), size, width, p) for t in range(m))
 
 
 def _block(desc: CaseDescriptor, field: FieldSpec, params: Sequence[tuple[int, ...]], ring_sign: int = 1) -> _Block:
@@ -164,20 +184,18 @@ def _block(desc: CaseDescriptor, field: FieldSpec, params: Sequence[tuple[int, .
     ``a = conv . b`` (mod p), each one sum of packed columns; for
     ring_sign = -1 every polynomial flipped by x -> -x."""
     plan = _family_plan(desc, field)
-    p, m, n = field.p, field.m, desc.p**desc.s
-    size = desc.l - desc.delta
-    col_width, conv_width = plan.widths
-    bs, mains = [], []
-    for flat in params:
-        b = tuple(tuple(_combine(p, size, col_width, plan.cols, flat[t::m])) for t in range(m))
-        bs.append(b)
-        mains.append(tuple(tuple(_combine(p, n, conv_width, plan.conv, coord)) for coord in b))
+    p, n = field.p, desc.p**desc.s
+    conv, width = plan.conv, plan.widths[1]
+    mains = [
+        tuple(_residue_bytes(sum(map(mul, b, conv)), n, width, p) for b in _b_coords(plan, desc, field, flat))
+        for flat in params
+    ]
     u, second = plan.u, plan.second
     if ring_sign == -1:
         mains = [_negate_odd_degrees(a, p) for a in mains]
         u = _negate_odd_degrees(u, p)
         second = None if second is None else _negate_odd_degrees(second, p)
-    return _Block(desc, field, ring_sign, tuple(params), tuple(bs), tuple(mains), u, second)
+    return _Block(desc, field, ring_sign, tuple(params), tuple(mains), u, second)
 
 
 def _elements(poly: Coords) -> tuple[FqElem, ...]:
@@ -185,24 +203,35 @@ def _elements(poly: Coords) -> tuple[FqElem, ...]:
     return tuple(zip(*poly))
 
 
+def _tuples(poly: Coords) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, poly))
+
+
 def _generators(block: _Block) -> Iterator[_Rows]:
     """Each row's generators, in the block's ring, as the verifier reads
-    them: (main part, u-part) pairs, unchecked."""
-    zero = None if block.second is None else tuple((0,) * len(c) for c in block.second)
-    rest = () if block.second is None else ((block.second, zero),)
+    them: (main part, u-part) pairs of coordinate tuples, unchecked."""
+    from .chainring import _Rows
+
+    u = _tuples(block.u)
+    rest = () if block.second is None else ((_tuples(block.second), tuple((0,) * len(c) for c in block.second)),)
     for a in block.a:
-        yield _Rows(block.field, block.ring_sign, ((a, block.u),) + rest)
+        yield _Rows(block.field, block.ring_sign, ((_tuples(a), u),) + rest)
 
 
 def _codes(block: _Block) -> Iterator[CodeSpec]:
-    """The cyclic block's rows as ``CodeSpec``s, converted one at a time."""
+    """The cyclic block's rows as ``CodeSpec``s, converted one at a time;
+    b is computed again from each row's parameters."""
+    from .chainring import RIdealGens
+
     desc, field = block.desc, block.field
+    plan = _family_plan(desc, field)
     m = field.m
     pad = (field.zero(),) * desc.delta
-    for flat, b, rows in zip(block.params, block.b, _generators(block)):
+    for flat, rows in zip(block.params, _generators(block)):
+        b = _elements(_b_coords(plan, desc, field, flat))
         gens = tuple(tuple(zip(_elements(a), _elements(bu))) for a, bu in rows.generators)
         params = tuple(zip(*[iter(flat)] * m))
-        yield CodeSpec(desc, params, XPoly(field, desc.l, pad + _elements(b)), RIdealGens(field, block.ring_sign, gens))
+        yield CodeSpec(desc, params, XPoly(field, desc.l, pad + b), RIdealGens(field, block.ring_sign, gens))
 
 
 def _checked_params(desc: CaseDescriptor, params: Sequence[FqElem], field: FieldSpec) -> tuple[tuple[int, ...]]:
@@ -257,13 +286,14 @@ def _block_cap(n: int, m: int) -> int:
 
 
 def _family_blocks(
-    descs: Sequence[CaseDescriptor], field: FieldSpec, start: int, ring_sign: int = 1
+    descs: Sequence[CaseDescriptor], field: FieldSpec, start: int, ring_sign: int = 1, stop: int | None = None
 ) -> Iterator[_Block]:
-    """The enumeration stream from index ``start`` on, as blocks.  Whole
-    families before ``start`` are skipped by their exact counts, so no
-    skipped code is built.  Blocks grow 1, 2, 4, ... up to the cap, so the
-    first code comes at once and a short window builds at most about
-    twice the codes it prints."""
+    """The enumeration stream from index ``start`` up to ``stop`` (to the
+    end when None), as blocks.  Whole families before ``start`` are
+    skipped by their exact counts, so no skipped code is built, and the
+    last block ends at ``stop``.  Blocks grow 1, 2, 4, ... up to the cap,
+    so the first code comes at once."""
+    left = None if stop is None else max(0, stop - start)  # codes still to build
     size = 1
     for desc in descs:
         total = descriptor_count(desc, field.m)
@@ -272,7 +302,12 @@ def _family_blocks(
             continue
         cap = _block_cap(desc.p**desc.s, field.m)
         while start < total:
+            if left == 0:
+                return
             count = min(size, cap, total - start)
+            if left is not None:
+                count = min(count, left)
+                left -= count
             params = _decode_block(field, desc.free_param_count, start, count)
             yield _block(desc, field, params, ring_sign)
             start += count
@@ -287,17 +322,17 @@ def descriptor_codes(desc: CaseDescriptor, field: FieldSpec) -> Iterator[CodeSpe
 
 
 def _stream_blocks(
-    p: int, m: int, s: int, field: FieldSpec | None = None, start: int = 0, ring_sign: int = 1
+    p: int, m: int, s: int, field: FieldSpec | None = None, start: int = 0, ring_sign: int = 1, stop: int | None = None
 ) -> Iterator[_Block]:
     """The blocks of ``enumerate_codes(p, m, s, field, start)``, in the
-    ring x^N - ring_sign."""
+    ring x^N - ring_sign, up to index ``stop``."""
     if field is None:
         field = _code_field(p, m, s)
     elif (field.p, field.m) != (p, m):
         raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
     if start < 0:
         raise ValueError(f"start index must be >= 0, got {start}")
-    yield from _family_blocks(_code_families(p, s), field, start, ring_sign)
+    yield from _family_blocks(_code_families(p, s), field, start, ring_sign, stop)
 
 
 def enumerate_codes(
@@ -318,6 +353,8 @@ def to_negacyclic(code: CodeSpec) -> RIdealGens:
     sign, and the result generates a negacyclic (x^N + 1) ideal.  The
     map is a ring isomorphism, so it carries self-dual cyclic codes
     bijectively onto self-dual negacyclic ones."""
+    from .chainring import RIdealGens
+
     field = code.generators.field
     generators = []
     for g in code.generators.generators:

@@ -300,6 +300,9 @@ def _pack(values: Iterable[int], width: int) -> int:
     code = _TYPECODES.get(width)
     if code is None:
         return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+    if width > 1 and isinstance(values, (bytes, bytearray)):
+        # array() would read these as raw machine words, not one value a byte
+        values = list(values)
     arr = array(code, values)
     if sys.byteorder == "big":
         arr.byteswap()
@@ -324,6 +327,36 @@ def _unpack(x: int, count: int, width: int) -> Sequence[int]:
 def _residues(x: int, count: int, width: int, p: int) -> list[int]:
     """Slots 0..count-1 of x, each reduced mod p."""
     return [v % p for v in _unpack(x, count, width)]
+
+
+@lru_cache(maxsize=4)
+def _byte_tables(p: int) -> tuple[bytes, bytes, bytes]:
+    """``bytes.translate`` tables for p < 256: a byte v to v mod p, to
+    256 v mod p (the high byte of a 2-byte slot), and to -v mod p."""
+    low = bytes(v % p for v in range(256))
+    high = bytes(256 * v % p for v in range(256))
+    return low, high, bytes(-v % p for v in range(256))
+
+
+def _residue_bytes(x: int, count: int, width: int, p: int) -> Sequence[int]:
+    """``_residues(x, count, width, p)`` as a ``bytes`` when p < 256, a
+    tuple above.  For p < 128 and slots of 1 or 2 bytes it is done by
+    ``bytes.translate``: a 2-byte slot's low byte lo and high byte hi
+    become lo mod p and 256 hi mod p, whose sum is at most 2p - 2 < 256,
+    so the two translated strings add as ints with no carry between
+    slots, and the sum is translated once more."""
+    if p >= 128 or width > 2:
+        values = _residues(x, count, width, p)
+        return bytes(values) if p < 256 else tuple(values)
+    size = count * width
+    if x.bit_length() > 8 * size:
+        x &= (1 << 8 * size) - 1
+    low, high, _ = _byte_tables(p)
+    data = x.to_bytes(size, "little")
+    if width == 1:
+        return data.translate(low)
+    total = int.from_bytes(data[::2].translate(low), "little") + int.from_bytes(data[1::2].translate(high), "little")
+    return total.to_bytes(count, "little").translate(low)
 
 
 # The modulus search is refused above this degree.  Its cost grows about

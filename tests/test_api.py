@@ -117,7 +117,7 @@ def _records(field):
         (code.b_coeffs, ("field", "l", "coeffs")),
         (code.generators, ("field", "ring_sign", "generators")),
         (_family_plan(desc, field), ("cols", "conv", "widths", "u", "second")),
-        (block, ("desc", "field", "ring_sign", "params", "b", "a", "u", "second")),
+        (block, ("desc", "field", "ring_sign", "params", "a", "u", "second")),
     ]
 
 
@@ -278,6 +278,28 @@ def test_no_subcommand_runs_binomial_and_the_direct_route_does():
     assert {argv[0] for argv in argvs} == {"gmatrix", "count", "enumerate", "build", "verify", "negacyclic"}
     ran = _child("import json, sdcyclic\nsdcyclic.build_g_direct(3, 2)\nprint(json.dumps(ran))\n")
     assert "binomial" in ran
+
+
+def test_no_stream_command_runs_the_verifier_and_verify_does():
+    """``enumerator`` imports ``chainring`` only where it hands codes to
+    it: ``enumerate``, ``negacyclic``, ``build`` and ``--sample``, run in
+    turn in one child, leave it unrun; ``verify`` and the library's
+    ``CodeSpec`` stream run it."""
+    argvs = [
+        ["enumerate", "-p", "3", "-m", "2", "-s", "2", "--limit", "30", "--format", "json"],
+        ["enumerate", "-p", "3", "-m", "1", "-s", "4", "--offset", "60", "--limit", "350"],
+        ["negacyclic", "-p", "5", "-m", "1", "-s", "2", "--limit", "20", "--format", "json"],
+        ["enumerate", "-p", "5", "-m", "1", "-s", "2", "--sample", "5", "--seed", "3"],
+        ["build", "-p", "3", "-m", "1", "-s", "3", "--k", "2", "--params", "1,2,0,1,1", "--format", "json"],
+        ["verify", "-p", "3", "-m", "1", "-s", "3", "--offset", "100", "--limit", "40"],
+    ]
+    runs = _ran_per_command(argvs)
+    assert [status for status, _ in runs] == [0] * len(argvs)
+    assert "chainring" not in {name for _, ran in runs[:-1] for name in ran}
+    assert sorted(runs[0][1]) == ["counting", "enumerator", "fieldcore", "gmatrix", "reciprocal"]
+    assert runs[-1][1] == ["chainring"]
+    ran = _child("import json, sdcyclic\nnext(sdcyclic.enumerate_codes(3, 1, 2))\nprint(json.dumps(ran))\n")
+    assert "chainring" in ran
 
 
 def test_first_reads_of_a_module_from_many_threads_all_see_it_whole():

@@ -570,7 +570,7 @@ def test_codes_are_written_as_they_are_built(capsys, monkeypatch):
     assert [line.split()[0] for line in out.splitlines()] == ["index=0", "index=1", "index=2"]
 
 
-@pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (3, 3, 1)])
+@pytest.mark.parametrize("p,m,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (3, 3, 1), (7, 1, 1), (11, 1, 1)])
 def test_stream_equals_the_per_code_renderer(capsys, p, m, s):
     codes = _oracle_codes(p, m, s)
     pms = ("-p", str(p), "-m", str(m), "-s", str(s))
@@ -582,7 +582,9 @@ def test_stream_equals_the_per_code_renderer(capsys, p, m, s):
             assert status == 0 and out.splitlines() == want
 
 
-@pytest.mark.parametrize("m", [7, 8])  # 2187 and 6561 elements: with and without a string table
+# 243 and 729 elements: with and without a one-byte element index; 2187
+# and 6561: with and without a string table
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
 def test_large_field_lines_equal_the_per_code_renderer(capsys, m):
     field = find_irreducible(3, m)
     desc = classify_cases(3, 2)[0]
@@ -594,6 +596,42 @@ def test_large_field_lines_equal_the_per_code_renderer(capsys, m):
             _, out, _ = run(capsys, command, *argv)
             images = [to_negacyclic(c) if flip else c.generators for c in codes]
             assert out.splitlines() == [_oracle_line(fmt, 2000 + i, c, g) for i, (c, g) in enumerate(zip(codes, images))]
+
+
+def _built_per_window(monkeypatch, capsys, argvs):
+    """For each argv: its exit status, lines printed, and the codes and
+    block sizes ``enumerator._block`` built for it."""
+    real, sizes = enumerator._block, []
+
+    def counted(desc, field, params, ring_sign=1):
+        sizes.append(len(params))
+        return real(desc, field, params, ring_sign)
+
+    monkeypatch.setattr(enumerator, "_block", counted)
+    out = []
+    for argv in argvs:
+        sizes.clear()
+        status, printed, _ = run(capsys, *argv)
+        out.append((status, len(printed.splitlines()), list(sizes)))
+    return out
+
+
+@pytest.mark.parametrize("command", ["enumerate", "negacyclic", "verify"])
+def test_a_window_builds_exactly_its_codes(monkeypatch, capsys, command):
+    """The last block stops at --offset + --limit, and blocks still grow
+    1, 2, 4, ... from the window's start, across a family boundary too:
+    the first family of (3,1,3) has 3^6 codes."""
+    argvs = []
+    for offset, limit in ((0, 1), (0, 40), (60, 350), (0, 1000), (729 - 5, 12), (729 - 600, 1000)):
+        argvs.append((command, "-p", "3", "-m", "1", "-s", "3", "--offset", str(offset), "--limit", str(limit)))
+    runs = _built_per_window(monkeypatch, capsys, argvs)
+    for (status, printed, sizes), argv in zip(runs, argvs):
+        limit = int(argv[-1])
+        assert status == 0 and sum(sizes) == limit
+        assert printed == (1 if command == "verify" else limit)
+    assert [sizes for _, _, sizes in runs[:3]] == [[1], [1, 2, 4, 8, 16, 9], [1, 2, 4, 8, 16, 32, 64, 128, 95]]
+    assert runs[4][2] == [1, 2, 2, 7]  # the first family's last 5 codes, then 7 of the next
+    assert runs[5][2][:10] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 89]
 
 
 @pytest.mark.parametrize("command", ["enumerate", "negacyclic"])

@@ -399,6 +399,21 @@ def test_blocks_start_small():
     assert [len(row) for row in first.params] == [classify_cases(3, 4)[0].free_param_count]
 
 
+@pytest.mark.parametrize("p,m,s", [(3, 2, 3), (5, 1, 2), (131, 1, 1), (257, 1, 1)])
+@pytest.mark.parametrize("ring_sign", [1, -1])
+def test_blocks_hold_residue_bytes_and_the_verifier_gets_tuples(p, m, s, ring_sign):
+    """Block rows are ``bytes`` below p = 256 and tuples above; the rows
+    handed to the verifier are tuples of ints either way."""
+    block = next(_stream_blocks(p, m, s, start=3, ring_sign=ring_sign, stop=6))
+    kind = bytes if p < 256 else tuple
+    assert {type(coord) for a in block.a for coord in a} | {type(coord) for coord in block.u} == {kind}
+    for a, rows in zip(block.a, _generators(block)):
+        coords = [coord for pair in rows.generators for part in pair for coord in part]
+        assert {type(coord) for coord in coords} == {tuple}
+        assert {type(v) for coord in coords for v in coord} == {int}
+        assert rows.generators[0][0] == tuple(map(tuple, a))
+
+
 def test_enumerate_rejects_negative_start():
     with pytest.raises(ValueError, match="start"):
         next(enumerate_codes(3, 1, 1, start=-1))

@@ -8,9 +8,12 @@ from sdcyclic.fieldcore import (
     MAX_EXTENSION_DEGREE,
     MILLER_RABIN_BOUND,
     _is_irreducible,
+    _pack,
     _pgcd,
     _ppowmod,
     _psub,
+    _residue_bytes,
+    _residues,
 )
 
 
@@ -259,3 +262,34 @@ def test_find_irreducible_at_a_huge_prime_skips_the_binomials():
     field = find_irreducible(p, 16)
     assert time.perf_counter() - start < 10
     assert any(field.modulus[1:-1]) and _is_irreducible_rabin(field.modulus, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 61, 127, 131, 251, 257])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_residue_bytes_equal_the_residues(p, width):
+    """The translated reduction against ``_residues``: every slot at 0,
+    at the top of its width and at random, over counts up to 300, and a
+    set bit above the last slot cut as ``_residues`` cuts it."""
+    rng = random.Random(f"{p}:{width}")
+    top = (1 << 8 * width) - 1
+    for count in (0, 1, 2, 3, 7, 64, 300):
+        edges = [min(top, rng.choice((0, p - 1, p, top - 1, top))) for _ in range(count)]
+        randoms = [rng.randrange(top + 1) for _ in range(count)]
+        for values in ([0] * count, [top] * count, edges, randoms):
+            x = _pack(values, width)
+            for extra in (0, rng.randrange(1, 1 << 20) << 8 * width * count):
+                got = _residue_bytes(x + extra, count, width, p)
+                want = _residues(x + extra, count, width, p)
+                assert type(got) is (bytes if p < 256 else tuple)
+                assert list(got) == want == [v % p for v in values]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
+def test_pack_reads_bytes_one_value_a_byte(width):
+    """A ``bytes`` or ``bytearray`` row packs as the list of its byte
+    values at every width, as residue bytes from a block do."""
+    values = [0, 1, 2, 127, 128, 254, 255, 7]
+    want = _pack(values, width)
+    assert want == sum(v << 8 * width * i for i, v in enumerate(values))
+    assert _pack(bytes(values), width) == _pack(bytearray(values), width) == want
+    assert _pack(bytes(values)[::-1], width) == _pack(values[::-1], width)
