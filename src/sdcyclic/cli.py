@@ -324,15 +324,15 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     generators in the stored ring (cyclic or negacyclic).  A missing key,
     a value of the wrong json type, or a field element not written as
     m residues is refused with ``ValueError``."""
-    from .enumerator import _code_families, _code_field, build_code, to_negacyclic
+    from .enumerator import _code_space, build_code, to_negacyclic
 
     p, m, s, nu, k = (_json_field(obj, key, int) for key in ("p", "m", "s", "nu", "k"))
     case = _json_field(obj, "case", str)
     ring_sign = obj.get("ring_sign", 1)
     if type(ring_sign) is not int or ring_sign not in (1, -1):
         raise ValueError(f"ring_sign must be 1 or -1, got {ring_sign!r}")
-    field = _code_field(p, m, s)
-    match = [d for d in _code_families(p, s) if d.sub == case and d.nu == nu and d.k == k]
+    descs, field = _code_space(p, m, s)
+    match = [d for d in descs if d.sub == case and d.nu == nu and d.k == k]
     if not match:
         raise ValueError(f"no case {case!r} with nu={nu}, k={k} for p={p}, s={s}")
     params = [_json_element(field, a, "params") for a in _json_field(obj, "params", list)]
@@ -478,35 +478,31 @@ def _check_non_negative(args, *names: str) -> None:
 
 def _window_blocks(args, ring_sign: int) -> Iterator[_Block]:
     """The code blocks of the --offset/--limit window of the enumeration,
-    in the ring x^N - ring_sign."""
+    in the ring x^N - ring_sign; -p, -m and -s are checked here, even for
+    a window of no codes."""
     from .enumerator import _stream_blocks
 
-    _check_non_negative(args, "offset", "limit")
     stop = None if args.limit is None else args.offset + args.limit
     return _stream_blocks(args.p, args.m, args.s, start=args.offset, ring_sign=ring_sign, stop=stop)
 
 
 def _emit_window(args, ring_sign: int) -> int:
     """The --offset/--limit window, rendered row by row."""
+    _check_non_negative(args, "offset", "limit")
     lines = _block_lines(_window_blocks(args, ring_sign), args.format, args.offset)
-    return _write(args.out, itertools.islice(lines, args.limit), "(no codes)\n")
+    return _write(args.out, lines, "(no codes)\n")
 
 
 def _cmd_enumerate(args) -> int:
     if args.sample is None:
         return _emit_window(args, 1)
-    from .enumerator import _block, _checked_params, _code_field, _sample_draws
+    from .enumerator import _sample_blocks
 
     _check_non_negative(args, "sample")
     if args.offset or args.limit is not None:
         raise ValueError("--sample cannot be combined with --offset/--limit")
-
-    def blocks() -> Iterator[_Block]:
-        field = _code_field(args.p, args.m, args.s)
-        for desc, params in _sample_draws(args.p, args.m, args.s, args.sample, args.seed):
-            yield _block(desc, field, _checked_params(desc, params, field))
-
-    return _write(args.out, _block_lines(blocks(), args.format, 0), "(no codes)\n")
+    blocks = _sample_blocks(args.p, args.m, args.s, args.sample, args.seed)
+    return _write(args.out, _block_lines(blocks, args.format, 0), "(no codes)\n")
 
 
 def _cmd_negacyclic(args) -> int:
@@ -514,10 +510,10 @@ def _cmd_negacyclic(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from .enumerator import _block, _checked_params, _code_families, _code_field
+    from .enumerator import _block, _checked_params, _code_space
 
-    field = _code_field(args.p, args.m, args.s)
-    match = [d for d in _code_families(args.p, args.s) if d.k == args.k]
+    descs, field = _code_space(args.p, args.m, args.s)
+    match = [d for d in descs if d.k == args.k]
     if not match:
         raise ValueError(f"no case has k={args.k} for p={args.p}, s={args.s}")
     params = _checked_params(match[0], _parse_params(field, args.params), field)
@@ -532,17 +528,17 @@ def _cmd_verify(args) -> int:
 
     if args.all and (args.offset or args.limit is not None):
         raise ValueError("--all cannot be combined with --offset/--limit")
-    ring_sign, ring = (-1, "negacyclic") if args.negacyclic else (1, "cyclic")
-    blocks = _window_blocks(args, ring_sign)  # refuses a negative bound by name first
+    _check_non_negative(args, "offset", "limit")  # a negative bound is named first
     if not args.all and args.limit is None:
         raise ValueError("verify needs --limit N, or --all for the complete family")
+    ring_sign, ring = (-1, "negacyclic") if args.negacyclic else (1, "cyclic")
     rows = (
         (block.desc, params, gens)
-        for block in blocks
+        for block in _window_blocks(args, ring_sign)
         for params, gens in zip(block.params, _generators(block))
     )
     good = total = 0
-    for index, (d, params, gens) in enumerate(itertools.islice(rows, args.limit), args.offset):
+    for index, (d, params, gens) in enumerate(rows, args.offset):
         total += 1
         if is_self_dual(gens, args.s):
             good += 1

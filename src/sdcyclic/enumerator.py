@@ -24,7 +24,7 @@ import itertools
 import random
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .counting import (  # noqa: F401  (re-exported)
     CaseDescriptor,
@@ -44,28 +44,28 @@ if TYPE_CHECKING:
 
 # A polynomial over F_{p^m} of a block is a tuple of m coordinates, the
 # residues of each coordinate low degree first: a ``bytes`` for p < 256,
-# else a tuple (``fieldcore._residue_bytes``); the verifier gets them as
-# tuples (``_generators``).  Parameters are flat tuples, parameter j's
+# else a tuple (``fieldcore._residue_bytes``); the verifier reads them as
+# they are (``_generators``).  Parameters are flat tuples, parameter j's
 # coordinate t at position j*m + t.
 Coords = tuple[Sequence[int], ...]
 
 
-def _code_families(p: int, s: int) -> list[CaseDescriptor]:
-    """``classify_cases`` for building codes.  A length above the matrix
-    size cap is refused before the (N - 1)/2 families are listed."""
+def _code_space(
+    p: int, m: int, s: int, field: FieldSpec | None = None
+) -> tuple[list[CaseDescriptor], FieldSpec]:
+    """The families of length p^s and the field F_{p^m}, for building
+    codes; every command that builds codes starts here.  The length is
+    checked against the size cap before the (N - 1)/2 families are
+    listed and before the modulus search, which at a large prime can
+    scan about p candidates (at 4 | m and p = 3 mod 4 no x^m + c is
+    irreducible).  A given ``field`` is taken as it is, with no search."""
     _validate_ps(p, s)
     _checked_order(p, s)
-    return classify_cases(p, s)
-
-
-def _code_field(p: int, m: int, s: int) -> FieldSpec:
-    """``find_irreducible(p, m)`` for building codes of length p^s.  The
-    length is checked against the size cap first: at a large prime the
-    modulus search can scan about p candidates (at 4 | m and p = 3 mod 4
-    no x^m + c is irreducible)."""
-    _validate_ps(p, s)
-    _checked_order(p, s)
-    return find_irreducible(p, m)
+    if field is None:
+        field = find_irreducible(p, m)
+    elif (field.p, field.m) != (p, m):
+        raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
+    return classify_cases(p, s), field
 
 
 class CodeSpec(NamedTuple):
@@ -203,19 +203,15 @@ def _elements(poly: Coords) -> tuple[FqElem, ...]:
     return tuple(zip(*poly))
 
 
-def _tuples(poly: Coords) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, poly))
-
-
 def _generators(block: _Block) -> Iterator[_Rows]:
     """Each row's generators, in the block's ring, as the verifier reads
-    them: (main part, u-part) pairs of coordinate tuples, unchecked."""
+    them: (main part, u-part) pairs of the block's own coordinates,
+    unchecked."""
     from .chainring import _Rows
 
-    u = _tuples(block.u)
-    rest = () if block.second is None else ((_tuples(block.second), tuple((0,) * len(c) for c in block.second)),)
+    rest = () if block.second is None else ((block.second, tuple((0,) * len(c) for c in block.second)),)
     for a in block.a:
-        yield _Rows(block.field, block.ring_sign, ((_tuples(a), u),) + rest)
+        yield _Rows(block.field, block.ring_sign, ((a, block.u),) + rest)
 
 
 def _codes(block: _Block) -> Iterator[CodeSpec]:
@@ -285,6 +281,20 @@ def _block_cap(n: int, m: int) -> int:
     return max(1, min(BLOCK_CODES, BLOCK_ENTRIES // (n * m)))
 
 
+def _locate(counts: Iterable[int], index: int) -> tuple[int, int]:
+    """(family, in-family index) of code ``index`` of a stream whose
+    families hold ``counts`` codes, read one at a time up to the family
+    found; (number of families, what is left of the index) past the
+    end."""
+    family = 0
+    for count in counts:
+        if index < count:
+            break
+        index -= count
+        family += 1
+    return family, index
+
+
 def _family_blocks(
     descs: Sequence[CaseDescriptor], field: FieldSpec, start: int, ring_sign: int = 1, stop: int | None = None
 ) -> Iterator[_Block]:
@@ -294,12 +304,10 @@ def _family_blocks(
     last block ends at ``stop``.  Blocks grow 1, 2, 4, ... up to the cap,
     so the first code comes at once."""
     left = None if stop is None else max(0, stop - start)  # codes still to build
+    first, start = _locate((descriptor_count(d, field.m) for d in descs), start)
     size = 1
-    for desc in descs:
+    for desc in descs[first:]:
         total = descriptor_count(desc, field.m)
-        if start >= total:
-            start -= total
-            continue
         cap = _block_cap(desc.p**desc.s, field.m)
         while start < total:
             if left == 0:
@@ -325,14 +333,13 @@ def _stream_blocks(
     p: int, m: int, s: int, field: FieldSpec | None = None, start: int = 0, ring_sign: int = 1, stop: int | None = None
 ) -> Iterator[_Block]:
     """The blocks of ``enumerate_codes(p, m, s, field, start)``, in the
-    ring x^N - ring_sign, up to index ``stop``."""
-    if field is None:
-        field = _code_field(p, m, s)
-    elif (field.p, field.m) != (p, m):
-        raise ValueError(f"field is F_{field.p}^{field.m}, expected F_{p}^{m}")
+    ring x^N - ring_sign, up to index ``stop``.  The arguments are checked
+    when it is called, before the stream starts, so a window of no codes
+    is refused as any other is."""
     if start < 0:
         raise ValueError(f"start index must be >= 0, got {start}")
-    yield from _family_blocks(_code_families(p, s), field, start, ring_sign, stop)
+    descs, field = _code_space(p, m, s, field)
+    return _family_blocks(descs, field, start, ring_sign, stop)
 
 
 def enumerate_codes(
@@ -364,30 +371,26 @@ def to_negacyclic(code: CodeSpec) -> RIdealGens:
     return RIdealGens(field, -1, tuple(generators))
 
 
-def _sample_draws(
-    p: int, m: int, s: int, count: int, seed: int
-) -> Iterator[tuple[CaseDescriptor, tuple[FqElem, ...]]]:
-    """The (family, parameters) pairs of ``sample_codes``."""
-    descs = _code_families(p, s)
+def _sample_blocks(p: int, m: int, s: int, count: int, seed: int) -> Iterator[_Block]:
+    """The codes of ``sample_codes`` as one-code blocks: per draw, a stream
+    index below the total picks the family, then each coordinate of each
+    parameter is drawn.  The arguments are checked when it is called."""
+    descs, field = _code_space(p, m, s)
     weights = [descriptor_count(d, m) for d in descs]
     total = sum(weights)
     rng = random.Random(seed)
-    for _ in range(count):
-        r = rng.randrange(total)
-        for desc, w in zip(descs, weights):
-            if r < w:
-                break
-            r -= w
-        params = tuple(
-            tuple(rng.randrange(p) for _ in range(m)) for _ in range(desc.free_param_count)
-        )
-        yield desc, params
+
+    def draw() -> _Block:
+        desc = descs[_locate(weights, rng.randrange(total))[0]]
+        flat = tuple(rng.randrange(p) for _ in range(desc.free_param_count * m))
+        return _block(desc, field, (flat,))
+
+    return (draw() for _ in range(count))
 
 
 def sample_codes(p: int, m: int, s: int, count: int, seed: int = 0) -> Iterator[CodeSpec]:
     """``count`` codes drawn uniformly at random from the full family,
     reproducibly from ``seed``.  A CLI convenience: family weights are
     exact big integers, so the draw is uniform even for huge families."""
-    field = _code_field(p, m, s)
-    for desc, params in _sample_draws(p, m, s, count, seed):
-        yield build_code(desc, params, field)
+    for block in _sample_blocks(p, m, s, count, seed):
+        yield from _codes(block)

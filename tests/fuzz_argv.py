@@ -11,8 +11,10 @@ own child, one at a time, with a 15 s timeout and a 1 GiB address-space
 limit set in the child.  An argv fails if it times out, if stderr holds a
 traceback, or if the exit status is other than 0 (done), 2 (refused) or
 141 (stdout closed).  ``verify`` exits 1 only for an enumerated code that
-is not self-dual, a wrong answer, so 1 fails too.  Exits 1 if any argv
-failed.
+is not self-dual, a wrong answer, so 1 fails too.  A window of no codes
+(``--limit 0``) fails unless it exits as its ``--limit 1`` twin does,
+which is run as well: the arguments are checked whatever the window
+holds.  Exits 1 if any argv failed.
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ def _limit_child() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(argv: list[str]) -> str | None:
-    """Why the argv failed, or None."""
+def run(argv: list[str]) -> tuple[int | None, str | None]:
+    """The exit status (None on a timeout), and why the argv failed or
+    None."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     try:
         proc = subprocess.run(
@@ -106,12 +109,27 @@ def run(argv: list[str]) -> str | None:
             preexec_fn=_limit_child,
         )
     except subprocess.TimeoutExpired:
-        return f"timed out after {TIMEOUT_S} s"
+        return None, f"timed out after {TIMEOUT_S} s"
     err = proc.stderr.decode(errors="replace")
     if "Traceback (most recent call last)" in err:
-        return "traceback: " + err.strip().splitlines()[-1]
+        return proc.returncode, "traceback: " + err.strip().splitlines()[-1]
     if proc.returncode not in OK_STATUSES:
-        return f"exit status {proc.returncode}: {err.strip()[-200:]}"
+        return proc.returncode, f"exit status {proc.returncode}: {err.strip()[-200:]}"
+    return proc.returncode, None
+
+
+def check(argv: list[str]) -> str | None:
+    """Why the argv, or the ``--limit 1`` twin of a window of no codes,
+    failed, or None."""
+    status, reason = run(argv)
+    at = argv.index("--limit") + 1 if "--limit" in argv else None
+    if reason is not None or at is None or argv[at] != "0":
+        return reason
+    twin_status, twin_reason = run(argv[:at] + ["1"] + argv[at + 1 :])
+    if twin_reason is not None:
+        return f"--limit 1 twin: {twin_reason}"
+    if twin_status != status:
+        return f"exit status {status}, its --limit 1 twin {twin_status}"
     return None
 
 
@@ -124,7 +142,7 @@ def main() -> int:
     failures = 0
     for _ in range(args.count):
         argv = draw(rng)
-        reason = run(argv)
+        reason = check(argv)
         if reason is not None:
             failures += 1
             print(f"FAIL {' '.join(argv)}: {reason}")

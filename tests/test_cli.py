@@ -555,6 +555,46 @@ def test_negative_window_is_refused(capsys, argv, flag):
     assert f"error: {flag} must be >= 0" in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "negacyclic", "verify"])
+@pytest.mark.parametrize(
+    "p,m,s", [("9", "1", "2"), ("0", "1", "2"), ("3", "0", "2"), ("3", "101", "2"), ("3", "1", "0"), ("3", "1", "9")]
+)
+def test_an_empty_window_refuses_what_a_one_code_window_refuses(tmp_path, capsys, command, p, m, s):
+    """-p, -m and -s (size cap included) are checked before the window is
+    cut, so --limit 0 is refused as --limit 1 is, and --out is left as it
+    was."""
+    argv = (command, "-p", p, "-m", m, "-s", s)
+    status, out, err = run(capsys, *argv, "--limit", "0")
+    assert status == 2 and out == "" and err.startswith("error: ")
+    assert (status, out, err) == run(capsys, *argv, "--limit", "1")
+    target = tmp_path / "kept.txt"
+    target.write_text("earlier output\n")
+    assert run(capsys, *argv, "--limit", "0", "--out", str(target)) == (2, "", err)
+    assert target.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize("command,empty", [("enumerate", "(no codes)\n"), ("negacyclic", "(no codes)\n"), ("verify", "0/0 self-dual\n")])
+def test_an_empty_window_of_valid_arguments_has_no_codes(capsys, command, empty):
+    for offset in ("0", "5", "17", "18", str(10**40)):
+        assert run(capsys, command, "-p", "3", "-m", "1", "-s", "2", "--offset", offset, "--limit", "0") == (0, empty, "")
+
+
+@pytest.mark.parametrize("p,m,s", [(3, 1, 3), (3, 2, 2), (5, 1, 2)])
+def test_offsets_next_to_family_boundaries_print_the_full_stream(capsys, p, m, s):
+    """--offset skips whole families by their counts: a window starting
+    one before, at or one after the start of a family (or the end of the
+    stream) prints exactly the lines of the full stream there."""
+    pms = ("-p", str(p), "-m", str(m), "-s", str(s))
+    for command in ("enumerate", "negacyclic"):
+        lines = run(capsys, command, *pms)[1].splitlines(keepends=True)
+        ends = list(itertools.accumulate(descriptor_count(d, m) for d in classify_cases(p, s)))
+        assert ends[-1] == len(lines) == count_self_dual(p, m, s)
+        for end in [0] + ends:
+            for offset in range(max(0, end - 1), end + 2):
+                _, out, _ = run(capsys, command, *pms, "--offset", str(offset), "--limit", "3")
+                assert out == ("".join(lines[offset : offset + 3]) or "(no codes)\n")
+
+
 def test_codes_are_written_as_they_are_built(capsys, monkeypatch):
     real = enumerator._stream_blocks
 
@@ -697,6 +737,12 @@ RENDER_DIGESTS = {
         "e4fbe278f9c0665dcf566531965619b6be843ade92939b226dffe3f0fda0795c",
     ("build", "-p", "3", "-m", "3", "-s", "2", "--k", "0", "--params", "1:2:0,0:0:1", "--format", "json"):
         "e8b4d6f6559cb318ad30f8ac19c8b3944a2c550a523b7ce51bd719ff86228028",
+    # recorded at commit 77cbcc2, where the draw walked the family weights
+    # itself; ``enumerator._locate`` now picks the family
+    ("enumerate", "-p", "5", "-m", "1", "-s", "2", "--sample", "30", "--seed", "1"):
+        "5f809b1e84989a6f46ad9fbc809aba65938efc32dea894e7298f19afd8c2ad5e",
+    ("enumerate", "-p", "5", "-m", "1", "-s", "2", "--sample", "30", "--seed", "1", "--format", "json"):
+        "30d0cb7036b8f9662adbb50bf795bc0eaf077ba3ac52b535af3eb10bd097eaa1",
 }
 
 

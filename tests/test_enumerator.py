@@ -29,8 +29,10 @@ from sdcyclic.enumerator import (
     _family_blocks,
     _family_plan,
     _generators,
+    _locate,
     _stream_blocks,
 )
+from sdcyclic.chainring import _self_dual_failure
 from sdcyclic.reciprocal import XM1_TO_STD
 
 from oracles import canonical_form, span_element
@@ -399,19 +401,44 @@ def test_blocks_start_small():
     assert [len(row) for row in first.params] == [classify_cases(3, 4)[0].free_param_count]
 
 
+def _as_tuples(rows):
+    """The verifier's rows with every coordinate a tuple of ints."""
+    return rows._replace(generators=tuple(tuple(tuple(map(tuple, part)) for part in g) for g in rows.generators))
+
+
 @pytest.mark.parametrize("p,m,s", [(3, 2, 3), (5, 1, 2), (131, 1, 1), (257, 1, 1)])
 @pytest.mark.parametrize("ring_sign", [1, -1])
-def test_blocks_hold_residue_bytes_and_the_verifier_gets_tuples(p, m, s, ring_sign):
-    """Block rows are ``bytes`` below p = 256 and tuples above; the rows
-    handed to the verifier are tuples of ints either way."""
+def test_the_verifier_reads_the_block_rows_as_built(p, m, s, ring_sign):
+    """Block rows are ``bytes`` below p = 256 (2-byte packed slots at
+    p = 5 and 131) and tuples above, and the verifier is handed the
+    block's own coordinates.  On them it answers exactly as on tuple
+    copies, also for a row with one coefficient changed, which is not
+    self-dual: a misread ``bytes`` would show as a different answer."""
     block = next(_stream_blocks(p, m, s, start=3, ring_sign=ring_sign, stop=6))
     kind = bytes if p < 256 else tuple
     assert {type(coord) for a in block.a for coord in a} | {type(coord) for coord in block.u} == {kind}
-    for a, rows in zip(block.a, _generators(block)):
-        coords = [coord for pair in rows.generators for part in pair for coord in part]
-        assert {type(coord) for coord in coords} == {tuple}
-        assert {type(v) for coord in coords for v in coord} == {int}
-        assert rows.generators[0][0] == tuple(map(tuple, a))
+    rows = list(_generators(block))
+    for a, row in zip(block.a, rows):
+        assert row.generators[0][0] is a and row.generators[0][1] is block.u
+        assert block.second is None or row.generators[1][0] is block.second
+    first, upart = rows[0].generators[0]
+    coord = list(first[0])
+    coord[1] = (coord[1] + 1) % p
+    changed = rows[0]._replace(generators=(((kind(coord),) + first[1:], upart),) + rows[0].generators[1:])
+    for row in rows + [changed]:
+        assert is_self_dual(row, s) == is_self_dual(_as_tuples(row), s) == (row is not changed)
+        assert _self_dual_failure(row, s) == _self_dual_failure(_as_tuples(row), s)
+    assert _self_dual_failure(changed, s) is not None
+
+
+def test_locate_reads_the_counts_up_to_the_family_found():
+    counts = [3, 0, 1, 5]
+    stream = [(f, i) for f, count in enumerate(counts) for i in range(count)]
+    assert [_locate(counts, index) for index in range(len(stream))] == stream
+    assert _locate(counts, 9) == (4, 0) and _locate(counts, 12) == (4, 3)
+    read = []
+    assert _locate((read.append(c) or c for c in counts), 3) == (2, 0)
+    assert read == [3, 0, 1]
 
 
 def test_enumerate_rejects_negative_start():
