@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import itertools
 import math
 import operator
@@ -348,12 +347,6 @@ def obj_to_code(obj: dict) -> tuple[CodeSpec, RIdealGens]:
     return code, gens
 
 
-def _json_dumps(obj) -> str:
-    import json
-
-    return json.dumps(obj, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -384,7 +377,7 @@ def _column_pieces(p: int, l: int, delta: int, fmt: str) -> Iterator[str]:
     if fmt == "json":
         yield f'{{"p":{p},"l":{l},"delta":{delta},"vectors":['
         for n, (j, values) in enumerate(columns):
-            yield ("," if n else "") + _json_dumps({"j": j, "column": 2 * j - 1, "values": values})
+            yield f'{"," if n else ""}{{"j":{j},"column":{2 * j - 1},"values":[{",".join(map(str, values))}]}}'
         yield "]}\n"
         return
     lines = (f"j={j} column={2 * j - 1} values=" + " ".join(map(str, values)) + "\n" for j, values in columns)
@@ -451,19 +444,13 @@ def _cmd_count(args) -> int:
                 f"the total has more than {CSV_CELL_DIGITS} digits, too long for a csv cell; "
                 "use --format text or --format json to print it"
             )
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "m", "s", "case", "count"])
-        for d in classify_cases(args.p, args.s):
-            label = f"{d.sub}:nu={d.nu}:k={d.k}"
-            writer.writerow([args.p, args.m, args.s, label, descriptor_count(d, args.m)])
-        writer.writerow([args.p, args.m, args.s, "total", total])
-        return _write(args.out, [buf.getvalue()])
+        # no label or value holds a comma, a quote or a line break
+        head = f"{args.p},{args.m},{args.s}"
+        rows = [f"{head},{d.sub}:nu={d.nu}:k={d.k},{descriptor_count(d, args.m)}\n" for d in classify_cases(args.p, args.s)]
+        return _write(args.out, ["p,m,s,case,count\n", *rows, f"{head},total,{total}\n"])
     with _int_str_unlimited():
         if args.format == "json":
-            text = _json_dumps({"p": args.p, "m": args.m, "s": args.s, "count": total})
+            text = f'{{"p":{args.p},"m":{args.m},"s":{args.s},"count":{total}}}'
         else:
             text = str(total)
     return _write(args.out, [text + "\n"])

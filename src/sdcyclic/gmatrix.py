@@ -6,10 +6,11 @@ The square matrix of order p^lam whose (i, j) entry is
 ``F[x]/((x-1)^(p^lam))``.  This module builds it three independent ways:
 from the entry formula (``build_g_direct``), as the Kronecker power of the
 order-p matrix (``build_g_kron``, the paper's construction), and from
-signed Pascal rows (the row kernel ``_g_rows``, which the printer and the
-truncations read).  It also slices out the odd-indexed columns of
-``G_l + I_l`` whose truncations span the fixed-point spaces of the
-transform (``_solution_basis``, the one place those columns are cut).
+signed Pascal rows (the row kernel ``_g_rows``, the one source of G on
+every command path).  It also cuts, from the kernel's rows, the
+odd-indexed columns of ``G_l + I_l`` whose truncations span the
+fixed-point spaces of the transform (``_solution_basis``, the one place
+those columns are cut).
 
 The row kernel rests on one identity.  In 0-based indices the entry is
 ``(-1)^j C(p^lam - 1 - j, i - j)``, and by Lucas's theorem
@@ -25,7 +26,7 @@ Matrices and solution bases are tuples of row tuples of residues in
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 from .counting import column_index_range
 from .fieldcore import _unpack, is_prime
@@ -150,7 +151,7 @@ def min_level(p: int, l: int) -> int:
     return lam
 
 
-# Each entry holds l^2 pointers, 33 MB at l = 2038.
+# Each entry holds l^2 pointers, 33 MB at l = 2038; no command reads it.
 @lru_cache(maxsize=2)
 def g_truncated(p: int, l: int) -> tuple[tuple[int, ...], ...]:
     """G_l: the l x l truncation of the minimal covering reciprocal matrix
@@ -171,20 +172,15 @@ def g_truncated(p: int, l: int) -> tuple[tuple[int, ...], ...]:
 def _solution_basis(p: int, l: int, delta: int) -> tuple[tuple[int, ...], ...]:
     """Rows delta+1..l of the odd columns 2j-1 of G_l + I_l (1-indexed),
     for every j of ``column_index_range(l, delta)``, as the columns of an
-    (l - delta) x dim matrix.  The identity adds 1 where column 2j-1
-    meets its own row, which is always at or below row delta+1."""
+    (l - delta) x dim matrix, read from the row kernel with shift 1.  The
+    kernel reaches row delta+1 only through the rows above it."""
     if not 0 <= delta < l:
         raise ValueError(f"need 0 <= delta < l, got delta={delta}, l={l}")
-    # G_l is the leading block of the whole level, which every family of
-    # the level shares; the cap is checked before any allocation
-    g = g_truncated(p, p ** min_level(p, l))
+    _checked_order(p, min_level(p, l))
     jmin, jmax = column_index_range(l, delta)
-    first, stop = 2 * jmin - 2, 2 * jmax - 1  # 0-based 2j-2
-    rows = [row[first:stop:2] for row in g[delta:l]]
-    for j, r in enumerate(range(first - delta, stop - delta, 2)):
-        row = rows[r]
-        rows[r] = row[:j] + ((row[j] + 1) % p,) + row[j + 1 :]
-    return tuple(rows)
+    odd = slice(2 * jmin - 2, 2 * jmax - 1, 2)  # 0-based 2j-2
+    rows = chain.from_iterable(block for _, block in _g_rows(p, l, 1))
+    return tuple(tuple(_unpack(row, l, ROW_SLOT_BYTES)[odd]) for row in islice(rows, delta, None))
 
 
 def solution_column(p: int, l: int, j: int, delta: int = 0) -> tuple[int, ...]:

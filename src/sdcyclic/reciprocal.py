@@ -11,8 +11,8 @@ l <= p^lam, never carried around.
 The transform acts on coefficient columns as the truncated reciprocal
 matrix G_l, so its fixed points are the kernel of G_l - I_l, spanned by
 the odd-indexed columns of G_l + I_l.  ``solution_basis`` returns those
-columns, truncated, as the columns of a matrix over F_p, cut from G_l by
-``gmatrix._solution_basis``.
+columns, truncated, as the columns of a matrix over F_p, cut from the
+row kernel's rows of G_l + I_l by ``gmatrix._solution_basis``.
 
 The change of basis is a sum of packed rows: the standard coefficients of
 (x-1)^i, or the (x-1)-adic ones of x^j = ((x-1) + 1)^j, from the row

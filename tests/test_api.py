@@ -67,8 +67,7 @@ def test_all_is_the_readme_list():
 
 
 # Modules that ``import sdcyclic.cli`` must not load: dataclasses pulls in
-# inspect, ast, dis and tokenize; json and csv are loaded by the writers
-# that use them, numpy on first use.
+# inspect, ast, dis and tokenize; no command loads json, csv or numpy.
 _NOT_AT_IMPORT = ("dataclasses", "inspect", "json", "csv", "numpy")
 
 
@@ -242,6 +241,37 @@ def test_count_runs_neither_the_construction_nor_the_verifier():
     assert refused == [[2, ["counting", "fieldcore"]]]
 
 
+def test_no_subcommand_imports_json_or_csv():
+    """Every subcommand, run in turn in one child that reads its argvs
+    without json, writes its json and csv itself."""
+    argvs = [
+        "gmatrix -p 7 --l 30 --format json",
+        "gmatrix -p 3 --l 40 --delta 13 --format json",
+        "count -p 3 -m 2 -s 5 --format json",
+        "count -p 3 -m 1 -s 6 --format csv",
+        "enumerate -p 3 -m 2 -s 2 --limit 30 --format json",
+        "enumerate -p 5 -m 1 -s 2 --sample 5 --seed 3 --format json",
+        "build -p 3 -m 1 -s 3 --k 2 --params 1,2,0,1,1 --format json",
+        "verify -p 3 -m 1 -s 3 --offset 100 --limit 40",
+        "negacyclic -p 3 -m 1 -s 3 --limit 20 --format json",
+    ]
+    assert {argv.split()[0] for argv in argvs} == {"gmatrix", "count", "enumerate", "build", "verify", "negacyclic"}
+    script = (
+        "import contextlib, io, sys\n"
+        "from sdcyclic.cli import dispatch\n"
+        "statuses = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        statuses.append(dispatch(argv.split()))\n"
+        "print(statuses, [n for n in ('json', 'csv') if n in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argvs], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert run.stdout == f"{[0] * len(argvs)} []\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -340,7 +370,7 @@ def test_the_tracer_still_records_each_layer(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     ops = {
         "enumerator.count_self_dual": ["count", "-p", "3", "-m", "1", "-s", "6"],
-        "gmatrix.g_truncated": ["gmatrix", "-p", "3", "--l", "40", "--delta", "13"],
+        "reciprocal.solution_basis": ["enumerate", "-p", "3", "-m", "1", "-s", "2", "--limit", "3"],
         "chainring.span_dimension": ["verify", "-p", "3", "-m", "1", "-s", "2", "--limit", "3"],
     }
     for span, argv in ops.items():

@@ -1167,6 +1167,23 @@ def test_every_subcommand_runs_with_numpy_blocked(capsys):
         assert [status, out] == list(run(capsys, *argv)[:2]), argv
 
 
+def test_no_subcommand_reads_a_level_matrix(capsys, monkeypatch):
+    """Every subcommand cuts its matrices and bases from the row kernel:
+    with ``g_truncated`` made to raise and the plan cache cold, each
+    prints what it printed before."""
+    argvs = _EVERY_COMMAND + [["gmatrix", "-p", "3", "--l", "650", "--delta", "300", "--format", "json"]]
+    before = [run(capsys, *argv) for argv in argvs]
+    assert [status for status, _, _ in before] == [0] * len(argvs)
+    enumerator._family_plan.cache_clear()
+
+    def level_matrix(p, l):
+        raise AssertionError(f"g_truncated({p}, {l}) read on a command path")
+
+    monkeypatch.setattr(gmatrix, "g_truncated", level_matrix)
+    for argv, was in zip(argvs, before):
+        assert run(capsys, *argv) == was, argv
+
+
 @pytest.mark.parametrize(
     "argv,read",
     [
